@@ -1,56 +1,35 @@
 """attngrad: exact and near-linear-time gradients for the single-layer
-attention loss, with verification oracles and a hardness lab."""
+attention loss, with verification oracles and a hardness lab.
+
+Importing the package loads no numpy: the entry points below resolve
+from their modules on first access, so ``attngrad.cli`` can pin the
+BLAS/OpenMP pools before numpy starts them.
+"""
 
 __version__ = "0.1.0"
 
-from .core import (
-    diag_scale,
-    exp_entrywise,
-    kron,
-    matmul,
-    read_matrix,
-    row_kronecker,
-    row_sums,
-    unvec,
-    vec,
-    write_matrix,
-)
-from .forward import (
-    AttentionInstance,
-    SoftmaxCache,
-    compute_exp_matrix,
-    compute_h,
-    compute_softmax,
-    forward,
-    load_instance,
-    loss,
-    random_instance,
-    save_instance,
-)
-from .gradient import GradientResult, compute_p, compute_q, grad_entry, gradient_exact
-from .lowrank import (
-    LowRankFactors,
-    PolyConfig,
-    feature_map,
-    gradient_fast,
-    lowrank_p1_factors,
-    lowrank_p2_factors,
-    lowrank_q_factors,
-    lowrank_softmax_factors,
-    select_degree,
-)
-from .hardness import (
-    HardInstance,
-    ReductionReport,
-    f_lambda,
-    f_lambda_derivative,
-    factorized_hard_instance,
-    gen_hard_instance,
-    gradient_to_forward,
-    hard_attention_instance,
-    riemann_reduction,
-    riemann_sum,
-)
-from .oracles import DiffReport, brute_kron_gradient, compare, finite_diff_gradient
+_EXPORTS = {
+    "AttentionInstance": "forward",
+    "random_instance": "forward",
+    "load_instance": "forward",
+    "save_instance": "forward",
+    "loss": "forward",
+    "gradient_exact": "gradient",
+    "gradient_fast": "lowrank",
+    "finite_diff_gradient": "oracles",
+    "brute_kron_gradient": "oracles",
+    "factor_chain": "oracles",
+    "compare": "oracles",
+    "gen_hard_instance": "hardness",
+    "riemann_reduction": "hardness",
+    "gradient_to_forward": "hardness",
+}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{module}", __name__), name)

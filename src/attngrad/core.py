@@ -18,9 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# exp(x) overflows float64 just above x = 709.78
-EXP_LIMIT = 709.0
-
 # kron materializes its result; it exists as a test oracle only
 KRON_ENTRY_CAP = 100_000_000
 
@@ -47,14 +44,6 @@ def vec(m) -> np.ndarray:
     """
     m = _as_float_array(m, 2, "matrix")
     return m.ravel().copy()
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`: reshape a length rows*cols vector to a matrix."""
-    v = _as_float_array(v, 1, "vector")
-    if v.size != rows * cols:
-        raise ValueError(f"cannot unvec length-{v.size} vector to {rows}x{cols}")
-    return v.reshape(rows, cols).copy()
 
 
 def kron(a, b) -> np.ndarray:
@@ -92,36 +81,6 @@ def row_kronecker(u1, u2) -> np.ndarray:
     n, k1 = u1.shape
     # index l1 varies fastest: block l2 holds u1 scaled by u2[:, l2]
     return (u2[:, :, None] * u1[:, None, :]).reshape(n, k1 * u2.shape[1])
-
-
-def exp_entrywise(m) -> np.ndarray:
-    """Entrywise exponential, refusing inputs that overflow float64."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.size and m.max() > EXP_LIMIT:
-        raise ValueError("entry magnitude exceeds float64 exp range")
-    return np.exp(m)
-
-
-def row_sums(m) -> np.ndarray:
-    m = _as_float_array(m, 2, "matrix")
-    return m.sum(axis=1)
-
-
-def diag_scale(v, m) -> np.ndarray:
-    """Compute diag(v) @ m, i.e. scale row i of ``m`` by ``v[i]``."""
-    v = _as_float_array(v, 1, "v")
-    m = _as_float_array(m, 2, "m")
-    if v.size != m.shape[0]:
-        raise ValueError(f"diag_scale: length {v.size} vs {m.shape[0]} rows")
-    return v[:, None] * m
-
-
-def matmul(a, b) -> np.ndarray:
-    a = _as_float_array(a, 2, "a")
-    b = _as_float_array(b, 2, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dimensions {a.shape} x {b.shape}")
-    return a @ b
 
 
 def write_matrix(m, path) -> None:

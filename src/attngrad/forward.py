@@ -9,10 +9,11 @@ and square weights X, Y (d x d), the forward map is
 and the training objective is L(X) = 0.5 * ||f(X) h(Y) - E||_F^2.
 
 The dense path materializes the n x n attention matrix, so it refuses
-n above a configurable cap instead of silently allocating n**2 doubles.
+n above ``DENSE_N_CAP`` instead of silently allocating n**2 doubles.
 No max-subtraction stabilization is applied inside exp: the entry bound
 B enforced at instance construction keeps every exponent in
-[-B**2, B**2], well inside float64 range for B <= sqrt(709).
+[-B**2, B**2], inside float64 range for B <= sqrt(709). Near that limit
+the row sums can still overflow, which the softmax refuses.
 """
 
 from __future__ import annotations
@@ -23,13 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_finite, exp_entrywise, read_matrix, row_sums, write_matrix
+from .core import check_finite, read_matrix, write_matrix
 
-# dense-path refusal threshold; n x n doubles above this is deliberate opt-in
+# dense-path refusal threshold for n
 DENSE_N_CAP = 16384
 
+# exp(x) overflows float64 just above x = 709.78
+EXP_LIMIT = 709.0
+
 # largest entry bound for which exp(B**2) stays finite
-MAX_ENTRY_BOUND = float(np.sqrt(709.0))
+MAX_ENTRY_BOUND = float(np.sqrt(EXP_LIMIT))
 
 # slack for the B-bound checks: instances generated by rescaling sit
 # exactly on the bound up to rounding
@@ -103,33 +107,37 @@ class SoftmaxCache:
     h: np.ndarray
 
 
-def _check_dense_cap(n: int, dense_cap: int) -> None:
-    if n > dense_cap:
-        raise ValueError(
-            f"dense path refused: n={n} exceeds cap {dense_cap}; "
-            "use the low-rank fast path (gradient_fast)"
-        )
-
-
 def compute_exp_matrix(
     inst: AttentionInstance, x_override: np.ndarray | None = None,
-    dense_cap: int = DENSE_N_CAP,
 ) -> np.ndarray:
     """The n x n matrix exp(A1 X A2^T / d), entrywise.
 
     With a valid instance every entry lies in [exp(-B**2), exp(B**2)].
     ``x_override`` substitutes a different X without revalidating the
-    B bound (used by finite-difference perturbation).
+    B bound (used by finite-difference perturbation), so the exponents
+    are checked against the float64 exp range.
     """
-    _check_dense_cap(inst.n, dense_cap)
+    if inst.n > DENSE_N_CAP:
+        raise ValueError(
+            f"dense path refused: n={inst.n} exceeds cap {DENSE_N_CAP}; "
+            "use the low-rank fast path (gradient_fast)"
+        )
     x = inst.X if x_override is None else x_override
-    return exp_entrywise(inst.A1 @ x @ inst.A2.T / inst.d)
+    s = inst.A1 @ x @ inst.A2.T / inst.d
+    if s.size and s.max() > EXP_LIMIT:
+        raise ValueError("entry magnitude exceeds float64 exp range")
+    return np.exp(s)
 
 
 def compute_softmax(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalize a positive matrix: returns (f, alpha) with
     alpha = row sums of m and f = diag(alpha)^-1 m."""
-    alpha = row_sums(m)
+    with np.errstate(over="ignore"):   # an overflow is refused just below
+        alpha = np.asarray(m, dtype=np.float64).sum(axis=1)
+    if not np.isfinite(alpha).all():
+        raise ValueError(
+            "softmax row sum is not finite (float64 overflow); reduce the entry bound B"
+        )
     if (alpha <= 0.0).any():
         raise ValueError("nonpositive row sum in softmax normalization")
     return m / alpha[:, None], alpha
@@ -146,33 +154,29 @@ def compute_h(a3: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def softmax_cache(
     inst: AttentionInstance, x_override: np.ndarray | None = None,
-    dense_cap: int = DENSE_N_CAP,
 ) -> SoftmaxCache:
-    f, alpha = compute_softmax(compute_exp_matrix(inst, x_override, dense_cap))
+    f, alpha = compute_softmax(compute_exp_matrix(inst, x_override))
     return SoftmaxCache(f=f, alpha=alpha, h=compute_h(inst.A3, inst.Y))
 
 
 def forward(
     inst: AttentionInstance, x_override: np.ndarray | None = None,
-    dense_cap: int = DENSE_N_CAP,
 ) -> np.ndarray:
     """One attention layer: f(X) @ h(Y), an n x d matrix."""
-    cache = softmax_cache(inst, x_override, dense_cap)
+    cache = softmax_cache(inst, x_override)
     return cache.f @ cache.h
 
 
 def loss(
     inst: AttentionInstance, x_override: np.ndarray | None = None,
-    dense_cap: int = DENSE_N_CAP,
 ) -> tuple[float, np.ndarray]:
     """Loss L(X) = 0.5 ||f h - E||_F^2 and the residual c = f h - E."""
-    c = forward(inst, x_override, dense_cap) - inst.E
+    c = forward(inst, x_override) - inst.E
     return 0.5 * float((c * c).sum()), c
 
 
 def random_instance(
     n: int, d: int, B: float, seed: int, noise_sigma: float = 0.1,
-    dense_cap: int = DENSE_N_CAP,
 ) -> AttentionInstance:
     """Sample a bounded instance: A1, A2, A3, Y iid uniform [-1, 1], A2
     rescaled to max|A2| = B, X rescaled to max|A1 X| = B, and E set to
@@ -196,7 +200,7 @@ def random_instance(
             raise ValueError("degenerate sample: A1 @ X vanished")
         x *= B / scale
     inst = AttentionInstance(A1=a1, A2=a2, A3=a3, E=np.zeros((n, d)), X=x, Y=y, B=B)
-    e = forward(inst, dense_cap=dense_cap) + noise_sigma * rng.standard_normal((n, d))
+    e = forward(inst) + noise_sigma * rng.standard_normal((n, d))
     return AttentionInstance(A1=a1, A2=a2, A3=a3, E=e, X=x, Y=y, B=B)
 
 
@@ -215,9 +219,14 @@ def save_instance(inst: AttentionInstance, out_dir, meta: dict | None = None) ->
 
 def load_instance(in_dir) -> AttentionInstance:
     """Load an instance directory written by :func:`save_instance`,
-    revalidating every invariant."""
+    revalidating every invariant, including the ``n``/``d`` that
+    ``meta.json`` records against the shape of A1."""
     meta_path = os.path.join(in_dir, "meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
     mats = {name: read_matrix(os.path.join(in_dir, f"{name}.mat")) for name in _MATRIX_FILES}
+    recorded = (meta.get("n"), meta.get("d"))
+    if recorded != mats["A1"].shape:
+        raise ValueError(f"{meta_path}: records n, d = {recorded} but A1.mat "
+                         f"has shape {mats['A1'].shape}")
     return AttentionInstance(B=float(meta["B"]), **mats)

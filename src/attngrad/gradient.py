@@ -8,10 +8,9 @@ The chain is
     dL/dx = (1/d) vec(A1^T p A2)            (length d**2)
 
 which costs two n x d x n products plus O(n^2) elementwise work; the
-d**2-wide lift A1 (x) A2 is never materialized. The per-coordinate
-derivative ``grad_entry`` evaluates the same quantity one scalar at a
-time from a single column of the lifted matrix and exists as an
-independently-checkable oracle term.
+d**2-wide lift A1 (x) A2 is never materialized. This is the dense
+production path; its independent references are the finite-difference
+and brute-force oracles in ``oracles``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import check_finite, vec
-from .forward import DENSE_N_CAP, AttentionInstance, _check_dense_cap, softmax_cache
+from .forward import AttentionInstance, softmax_cache
 
 
 @dataclass
@@ -44,13 +43,12 @@ def _result(G: np.ndarray, method: str, t0: float, info: dict | None = None) -> 
     )
 
 
-def compute_q(c: np.ndarray, h: np.ndarray, dense_cap: int = DENSE_N_CAP) -> np.ndarray:
+def compute_q(c: np.ndarray, h: np.ndarray) -> np.ndarray:
     """q = c h^T; row j0 is the h-weighted combination sum_i0 c[j0,i0] h[:,i0]."""
     c = np.asarray(c, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     if c.shape != h.shape:
         raise ValueError(f"compute_q: shape mismatch {c.shape} vs {h.shape}")
-    _check_dense_cap(c.shape[0], dense_cap)
     return c @ h.T
 
 
@@ -68,47 +66,12 @@ def compute_p(f: np.ndarray, q: np.ndarray) -> np.ndarray:
     return f * (q - s[:, None])
 
 
-def gradient_exact(
-    inst: AttentionInstance, x_override: np.ndarray | None = None,
-    dense_cap: int = DENSE_N_CAP,
-) -> GradientResult:
+def gradient_exact(inst: AttentionInstance) -> GradientResult:
     """Exact gradient (1/d) vec(A1^T p A2) via the dense c/q/p chain."""
     t0 = time.perf_counter()
-    cache = softmax_cache(inst, x_override, dense_cap)
+    cache = softmax_cache(inst)
     c = cache.f @ cache.h - inst.E
-    q = compute_q(c, cache.h, dense_cap)
+    q = compute_q(c, cache.h)
     p = compute_p(cache.f, q)
     G = (inst.A1.T @ p @ inst.A2) / inst.d
     return _result(G, "exact", t0)
-
-
-def lifted_column(inst: AttentionInstance, j0: int, i: int) -> np.ndarray:
-    """Column i of the j0-th n x d**2 block of (A1 (x) A2) / d, built
-    directly from the Kronecker index map: i = a*d + b picks
-    A1[j0, a] * A2[:, b] / d."""
-    n, d = inst.n, inst.d
-    if not 0 <= j0 < n:
-        raise ValueError(f"row index j0={j0} out of range [0, {n})")
-    if not 0 <= i < d * d:
-        raise ValueError(f"coordinate i={i} out of range [0, {d * d})")
-    a, b = divmod(i, d)
-    return inst.A1[j0, a] * inst.A2[:, b] / d
-
-
-def grad_entry(inst: AttentionInstance, j0: int, i0: int, i: int) -> float:
-    """Derivative of the single loss term 0.5 c[j0,i0]**2 w.r.t. x_i:
-
-        (<h_i0, col * f_j0> - <f_j0, col> <h_i0, f_j0>) * c[j0, i0]
-
-    with col the i-th column of the j0-th lifted block (1/d included).
-    Works from one row of the attention matrix, so cost is O(n d).
-    """
-    n, d = inst.n, inst.d
-    if not 0 <= i0 < d:
-        raise ValueError(f"column index i0={i0} out of range [0, {d})")
-    col = lifted_column(inst, j0, i)
-    u = np.exp((inst.A1[j0] @ inst.X) @ inst.A2.T / d)
-    f_row = u / u.sum()
-    h_col = inst.A3 @ inst.Y[:, i0]
-    c_entry = f_row @ h_col - inst.E[j0, i0]
-    return float((h_col @ (col * f_row) - (f_row @ col) * (h_col @ f_row)) * c_entry)

@@ -6,18 +6,13 @@ feature map of rank C(d+g, g): for rows u, w in R^d,
 
     phi(u) . phi(w) = sum_{l<=g} (u.w / d)^l / l!  ~=  exp(u.w / d).
 
-From the resulting rank-k1 factorization f ~= U1 V1^T of the softmax
-matrix, factorizations of the whole gradient chain follow:
-
-    q  ~= U2 V2^T,  U2 = [U1 | -E],  V2 = [h W^T | h],  W = V1^T h
-    p1 ~= U3 V3^T,  U3 = U1 (row-kron) U2,  V3 = V1 (row-kron) V2
-    p2 ~= U4 V4^T,  U4 = diag(r) U1,        V4 = V1
-
-and the gradient contracts as (1/d) A1^T (p1 - p2) A2 without ever
-materializing an n x n matrix. ``gradient_fast`` additionally avoids
-the n x (k1 k2) matrix U3 by distributing the contraction over the d
-columns of the residual, which is exact for the same factorization and
-keeps peak memory at O(n k1).
+``lowrank_softmax_factors`` turns this into a rank-k1 factorization
+f ~= U1 V1^T of the softmax matrix, and ``gradient_fast`` contracts the
+whole gradient chain through U1 and V1 without ever materializing an
+n x n or n x k1 (k1 + d) matrix, at cost O(n d**2 k1) and peak memory
+O(n k1). The explicit factorizations of the chain's links (q, p1, p2)
+live in ``oracles.factor_chain``, as the reference the fused
+contraction is checked against.
 
 Degree selection uses the explicit Taylor remainder bound
 exp(B**2) (B**2)^(g+1) / (g+1)! rather than an asymptotic formula, so
@@ -25,33 +20,22 @@ it is computable and conservative; the entrywise target eps_prime is
 derived from the caller's gradient tolerance eps as
 eps * exp(-2 B**2) / (8 d), a rule validated empirically against the
 exact path (measured end-to-end error sits orders of magnitude below
-eps across the tested range).
+eps across the tested range). The rank k1 is capped at ``RANK_CAP``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import row_kronecker
 from .forward import AttentionInstance, compute_h
 from .gradient import GradientResult, _result
 
-DEFAULT_RANK_CAP = 20000
-
-RANK_CAP_ENV = "ATTNGRAD_RANK_CAP"
-
-FACTOR_TARGETS = ("exp_matrix", "softmax_f", "q_matrix", "p1", "p2")
-
-
-def rank_cap() -> int:
-    """Factor-rank cap; override with the ATTNGRAD_RANK_CAP env var."""
-    value = os.environ.get(RANK_CAP_ENV)
-    return int(value) if value else DEFAULT_RANK_CAP
+# largest feature count C(d+g, g) that select_degree accepts
+RANK_CAP = 20000
 
 
 @dataclass
@@ -70,51 +54,27 @@ class PolyConfig:
     m_feat: int
 
 
-@dataclass
-class LowRankFactors:
-    """A rank-k representation U V^T of an n x n matrix."""
-
-    U: np.ndarray
-    V: np.ndarray
-    k: int
-    target: str
-    config: PolyConfig | None = None
-
-    def __post_init__(self):
-        if self.target not in FACTOR_TARGETS:
-            raise ValueError(f"unknown factor target {self.target!r}")
-        if self.U.shape != self.V.shape or self.U.shape[1] != self.k:
-            raise ValueError(
-                f"factor shapes {self.U.shape} / {self.V.shape} inconsistent with k={self.k}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.U.shape[0]
-
-
 def taylor_remainder(B: float, g: int) -> float:
     """Upper bound on |exp(t) - P_g(t)| over |t| <= B**2."""
     t = B * B
     return math.exp(t) * t ** (g + 1) / math.factorial(g + 1)
 
 
-def select_degree(B: float, eps_prime: float, d: int, cap: int | None = None) -> PolyConfig:
+def select_degree(B: float, eps_prime: float, d: int) -> PolyConfig:
     """Smallest degree g whose Taylor remainder on [-B**2, B**2] is at
     most ``eps_prime``; errors out if the monomial count C(d+g, g)
-    would exceed the rank cap."""
+    would exceed ``RANK_CAP``."""
     if B < 0.0 or eps_prime <= 0.0:
         raise ValueError("need B >= 0 and eps_prime > 0")
     if d < 1:
         raise ValueError("d must be positive")
-    cap = rank_cap() if cap is None else cap
     g = 0
     while taylor_remainder(B, g) > eps_prime:
         g += 1
-        if math.comb(d + g, g) > cap:
+        if math.comb(d + g, g) > RANK_CAP:
             raise ValueError(
                 f"rank blowup: degree {g} needs {math.comb(d + g, g)} features "
-                f"(cap {cap}); reduce B or relax eps"
+                f"(cap {RANK_CAP}); reduce B or relax eps"
             )
     return PolyConfig(B=B, eps_prime=eps_prime, g=g, d=d, m_feat=math.comb(d + g, g))
 
@@ -171,9 +131,10 @@ def effective_bound(inst: AttentionInstance) -> float:
 
 
 def lowrank_softmax_factors(
-    inst: AttentionInstance, eps: float, cap: int | None = None,
-) -> LowRankFactors:
-    """Rank-k1 factorization U1 V1^T of the softmax matrix f.
+    inst: AttentionInstance, eps: float,
+) -> tuple[np.ndarray, np.ndarray, PolyConfig]:
+    """Rank-k1 factorization U1 V1^T of the softmax matrix f, returned
+    as ``(U1, V1, config)``.
 
     Rows of the unnormalized left factor are phi((A1 X)_j); rows of V1
     are phi((A2)_j); the row sums of the approximate kernel normalize
@@ -183,71 +144,16 @@ def lowrank_softmax_factors(
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     b_eff = effective_bound(inst)
-    cfg = select_degree(b_eff, default_eps_prime(eps, b_eff, inst.d), inst.d, cap)
+    cfg = select_degree(b_eff, default_eps_prime(eps, b_eff, inst.d), inst.d)
     u_raw = _monomial_columns(inst.A1 @ inst.X, cfg)
     v1 = _monomial_columns(inst.A2, cfg)
     alpha = u_raw @ v1.sum(axis=0)
     if (alpha <= 0.0).any():
         raise ValueError("approximation destroyed row sums; decrease eps_prime")
-    return LowRankFactors(
-        U=u_raw / alpha[:, None], V=v1, k=cfg.m_feat, target="softmax_f", config=cfg,
-    )
+    return u_raw / alpha[:, None], v1, cfg
 
 
-def lowrank_q_factors(
-    f_factors: LowRankFactors, h: np.ndarray, E: np.ndarray, cap: int | None = None,
-) -> LowRankFactors:
-    """Factorization of q = c h^T from the softmax factors:
-    U2 = [U1 | -E], V2 = [h W^T | h] with W = V1^T h, so that
-    U2 V2^T = (U1 V1^T h - E) h^T. Rank k2 = k1 + d."""
-    if f_factors.target != "softmax_f":
-        raise ValueError("q factors must be built from softmax_f factors")
-    d = h.shape[1]
-    k2 = f_factors.k + d
-    cap = rank_cap() if cap is None else cap
-    if k2 > cap:
-        raise ValueError(f"rank cap exceeded: k2 = {k2} > {cap}")
-    w = f_factors.V.T @ h
-    u2 = np.hstack([f_factors.U, -E])
-    v2 = np.hstack([h @ w.T, h])
-    return LowRankFactors(U=u2, V=v2, k=k2, target="q_matrix", config=f_factors.config)
-
-
-def lowrank_p1_factors(
-    f_factors: LowRankFactors, q_factors: LowRankFactors, cap: int | None = None,
-) -> LowRankFactors:
-    """Factorization of p1 = f * q (entrywise) by row-wise Kronecker
-    products: U3 = U1 (x-row) U2, V3 = V1 (x-row) V2, exact for the
-    factor products. Rank k3 = k1 k2, so this materializes n x k1 k2
-    and is capped."""
-    k3 = f_factors.k * q_factors.k
-    cap = rank_cap() if cap is None else cap
-    if k3 > cap:
-        raise ValueError(f"rank cap exceeded: k1*k2 = {k3} > {cap}")
-    return LowRankFactors(
-        U=row_kronecker(f_factors.U, q_factors.U),
-        V=row_kronecker(f_factors.V, q_factors.V),
-        k=k3, target="p1", config=f_factors.config,
-    )
-
-
-def lowrank_p2_factors(
-    f_factors: LowRankFactors, q_factors: LowRankFactors,
-) -> LowRankFactors:
-    """Factorization of p2, whose row j is <f_j, q_j> f_j: the row dots
-    r_j = (U1)_j (V1^T V2) (U2)_j^T are computed through the k1 x k2
-    precompute, then U4 = diag(r) U1, V4 = V1. Rank k4 = k1."""
-    gram = f_factors.V.T @ q_factors.V
-    r = ((f_factors.U @ gram) * q_factors.U).sum(axis=1)
-    return LowRankFactors(
-        U=r[:, None] * f_factors.U, V=f_factors.V,
-        k=f_factors.k, target="p2", config=f_factors.config,
-    )
-
-
-def gradient_fast(
-    inst: AttentionInstance, eps: float, cap: int | None = None,
-) -> GradientResult:
+def gradient_fast(inst: AttentionInstance, eps: float) -> GradientResult:
     """Approximate gradient from the factored chain, no n x n matrix.
 
     Writing ft = U1 V1^T for the softmax approximation, ct = ft h - E,
@@ -262,9 +168,7 @@ def gradient_fast(
     factors, so the cost is O(n d**2 k1) and peak memory O(n k1).
     """
     t0 = time.perf_counter()
-    factors = lowrank_softmax_factors(inst, eps, cap)
-    cfg = factors.config
-    u1, v1 = factors.U, factors.V
+    u1, v1, cfg = lowrank_softmax_factors(inst, eps)
     d = inst.d
     h = compute_h(inst.A3, inst.Y)
     w = v1.T @ h                      # k1 x d
@@ -278,7 +182,7 @@ def gradient_fast(
         g1 += left @ right
     g2 = (inst.A1.T @ (u1 * r[:, None])) @ (v1.T @ inst.A2)
     G = (g1 - g2) / d
-    k1 = factors.k
+    k1 = cfg.m_feat
     info = {
         "degree": cfg.g,
         "eps_prime": cfg.eps_prime,

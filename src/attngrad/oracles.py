@@ -1,6 +1,7 @@
-"""Independent gradient oracles and comparison utilities.
+"""Independent references for both gradient chains, and a comparison
+utility.
 
-Two paths that share no code with the production gradient:
+Two oracles for the dense chain that share no code with it:
 
 * central finite differences of the loss, the canonical check for any
   analytic gradient;
@@ -8,7 +9,9 @@ Two paths that share no code with the production gradient:
   per-coordinate derivative formula over explicit n x d**2 blocks of
   the lifted matrix (A1 (x) A2) / d.
 
-Both are deliberately slow and capped to small instances.
+Both are deliberately slow and capped to small instances. For the
+low-rank chain, ``factor_chain`` builds the factorization of every link
+op by op, the reference for the fused contraction in ``gradient_fast``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import kron
-from .forward import DENSE_N_CAP, AttentionInstance, loss, softmax_cache
+from .core import kron, row_kronecker
+from .forward import AttentionInstance, loss, softmax_cache
 from .gradient import GradientResult, _result
 
 # brute path is O(n**2 d**3); keep it honest about its intended scale
@@ -41,7 +44,6 @@ class DiffReport:
 
 def finite_diff_gradient(
     inst: AttentionInstance, step: float = DEFAULT_FD_STEP,
-    dense_cap: int = DENSE_N_CAP,
 ) -> GradientResult:
     """Central-difference gradient: (L(X + s E_i) - L(X - s E_i)) / 2s
     for each of the d**2 coordinates of X (row-major order, matching
@@ -55,8 +57,8 @@ def finite_diff_gradient(
         for i in range(d * d):
             pert = np.zeros((d, d))
             pert.flat[i] = step
-            lp, _ = loss(inst, inst.X + pert, dense_cap)
-            lm, _ = loss(inst, inst.X - pert, dense_cap)
+            lp, _ = loss(inst, inst.X + pert)
+            lm, _ = loss(inst, inst.X - pert)
             g[i] = (lp - lm) / (2.0 * step)
     except ValueError as exc:
         if "exp range" in str(exc):
@@ -93,6 +95,30 @@ def brute_kron_gradient(
             term = block.T @ (f_row * h_col) - bf * (h_col @ f_row)
             g += c[j0, i0] * term
     return _result(g.reshape(d, d), "brute_kron", t0)
+
+
+def factor_chain(
+    u1: np.ndarray, v1: np.ndarray, h: np.ndarray, E: np.ndarray,
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Factor pairs (U, V) with target ~= U V^T for every link of the
+    gradient chain, from softmax factors f ~= U1 V1^T:
+
+        q   U2 = [U1 | -E],        V2 = [h W^T | h],  W = V1^T h
+        p1  U3 = U1 (row-kron) U2, V3 = V1 (row-kron) V2   (f * q)
+        p2  U4 = diag(r) U1,       V4 = V1,  r_j = <f_j, q_j>
+
+    The p1 pair has rank k1 (k1 + d), so this suits small ranks only.
+    """
+    w = v1.T @ h
+    u2 = np.hstack([u1, -E])
+    v2 = np.hstack([h @ w.T, h])
+    r = ((u1 @ (v1.T @ v2)) * u2).sum(axis=1)
+    return {
+        "f": (u1, v1),
+        "q": (u2, v2),
+        "p1": (row_kronecker(u1, u2), row_kronecker(v1, v2)),
+        "p2": (r[:, None] * u1, v1),
+    }
 
 
 def compare(a: GradientResult, b: GradientResult) -> DiffReport:

@@ -1,10 +1,15 @@
 """CLI contract: subcommands, exit codes, report schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import attngrad
 from attngrad.cli import main
 from attngrad.core import read_matrix
 from attngrad.forward import load_instance
@@ -100,6 +105,18 @@ def test_verify_corrupted_input_exits_one(capsys, tmp_path):
     assert "non-finite value" in stderr
 
 
+def test_verify_meta_shape_mismatch_exits_one(capsys, tmp_path):
+    out = gen_dir(capsys, tmp_path, "meta", n=12, d=2)
+    path = out / "meta.json"
+    meta = json.loads(path.read_text())
+    meta["n"] = 13
+    path.write_text(json.dumps(meta))
+    code, _, stderr = run_cli(capsys, "verify", "--in", str(out))
+    assert code == 1
+    assert "meta.json" in stderr
+    assert "(13, 2)" in stderr and "(12, 2)" in stderr
+
+
 def test_bench_report_and_csv(capsys, tmp_path):
     csv_path = tmp_path / "bench.csv"
     code, stdout, _ = run_cli(capsys, "bench", "--sizes", "64,128", "--d", "2",
@@ -145,6 +162,27 @@ def test_threads_flag_smoke(capsys, tmp_path):
     code, stdout, _ = run_cli(capsys, "--threads", "1", "grad", "--in", str(out))
     assert code == 0
     assert json.loads(stdout)["method"] == "exact"
+
+
+def test_threads_pinned_before_numpy_loads(tmp_path):
+    # a fresh interpreter: importing the CLI must not load numpy, or
+    # --threads would be set after the BLAS pools already started
+    script = (
+        "import os, sys\n"
+        "from attngrad.cli import main\n"
+        "assert 'numpy' not in sys.modules, 'import attngrad.cli loaded numpy'\n"
+        "code = main(['--threads', '1', 'gen', '--n', '4', '--d', '2', '--B', '0.5',\n"
+        f"             '--out', {str(tmp_path / 'inst')!r}])\n"
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(attngrad.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "gen"
 
 
 def test_version_flag(capsys):

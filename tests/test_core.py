@@ -1,19 +1,14 @@
 """Tensor-core primitives: flattening conventions, Kronecker layouts,
-entrywise ops, and the text matrix format."""
+and the text matrix format."""
 
 import numpy as np
 import pytest
 
 from attngrad.core import (
     KRON_ENTRY_CAP,
-    diag_scale,
-    exp_entrywise,
     kron,
-    matmul,
     read_matrix,
     row_kronecker,
-    row_sums,
-    unvec,
     vec,
     write_matrix,
 )
@@ -21,17 +16,6 @@ from attngrad.core import (
 
 def test_vec_flattens_rows():
     assert vec([[1, 2], [3, 4]]).tolist() == [1, 2, 3, 4]
-
-
-def test_unvec_inverts_vec():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((3, 2))
-    assert np.array_equal(unvec(vec(m), 3, 2), m)
-
-
-def test_unvec_length_mismatch():
-    with pytest.raises(ValueError):
-        unvec(np.ones(5), 2, 3)
 
 
 def test_tensor_trick():
@@ -110,31 +94,6 @@ def test_circ_rules():
     x, y, z = rng.standard_normal((3, 20))
     assert abs((x * y) @ np.ones(20) - x @ y) <= 1e-12
     assert abs((x * y) @ z - x @ np.diag(y) @ z) <= 1e-12
-
-
-def test_exp_entrywise_zero():
-    assert np.array_equal(exp_entrywise(np.zeros((3, 3))), np.ones((3, 3)))
-
-
-def test_exp_entrywise_overflow():
-    with pytest.raises(ValueError, match="exp range"):
-        exp_entrywise(np.array([[0.0, 710.0]]))
-
-
-def test_row_sums_ones():
-    assert np.array_equal(row_sums(np.ones((4, 4))), 4 * np.ones(4))
-
-
-def test_diag_scale():
-    assert diag_scale([2.0, 3.0], np.eye(2)).tolist() == [[2, 0], [0, 3]]
-    with pytest.raises(ValueError):
-        diag_scale([1.0, 2.0, 3.0], np.eye(2))
-
-
-def test_matmul_checks_dims():
-    assert np.array_equal(matmul(np.eye(2), np.eye(2)), np.eye(2))
-    with pytest.raises(ValueError, match="inner dimensions"):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_read_matrix_identity(tmp_path):

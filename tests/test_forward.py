@@ -4,6 +4,7 @@ projection, loss, and the instance container."""
 import numpy as np
 import pytest
 
+import attngrad.forward as forward_module
 from attngrad.forward import (
     AttentionInstance,
     compute_exp_matrix,
@@ -169,10 +170,24 @@ def test_instance_validates_shapes_and_finiteness():
                           X=np.ones((1, 1)), Y=np.ones((1, 1)), B=1.0)
 
 
-def test_dense_cap_refusal():
+def test_dense_cap_refusal(monkeypatch):
     inst = random_instance(8, 2, 0.5, seed=9)
+    monkeypatch.setattr(forward_module, "DENSE_N_CAP", 4)
     with pytest.raises(ValueError, match="fast path"):
-        compute_exp_matrix(inst, dense_cap=4)
+        compute_exp_matrix(inst)
+
+
+def test_row_sum_overflow_refused():
+    # every exponent is 708.9, inside the float64 exp range, but four of
+    # them overflow the row sum; unguarded, f = 0 and the loss reads 2.0
+    # where the true loss is 0
+    b = np.sqrt(708.9)
+    inst = AttentionInstance(A1=np.full((4, 1), b), A2=np.full((4, 1), b),
+                             A3=np.ones((4, 1)), E=np.ones((4, 1)),
+                             X=[[1.0]], Y=[[1.0]], B=b)
+    assert np.isfinite(compute_exp_matrix(inst)).all()
+    with pytest.raises(ValueError, match="reduce the entry bound B"):
+        loss(inst)
 
 
 def test_random_instance_deterministic():

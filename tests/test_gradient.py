@@ -1,11 +1,11 @@
-"""Exact gradient chain: q, p, the closed form, and the
-per-coordinate derivative oracle."""
+"""Exact gradient chain: q, p, the closed form, and the derivatives of
+one softmax row."""
 
 import numpy as np
 import pytest
 
 from attngrad.forward import compute_exp_matrix, compute_softmax, random_instance
-from attngrad.gradient import compute_p, compute_q, grad_entry, gradient_exact
+from attngrad.gradient import compute_p, compute_q, gradient_exact
 from attngrad.oracles import finite_diff_gradient
 from tests.test_forward import worked_instance
 
@@ -78,42 +78,6 @@ def test_gradient_matches_finite_differences(seed):
     inst = random_instance(n, d, 1.0, seed=seed + 100)
     diff = gradient_exact(inst).g - finite_diff_gradient(inst, 1e-4).g
     assert np.abs(diff).max() <= 1e-5
-
-
-def test_grad_entry_zero_residual_factor():
-    inst = random_instance(6, 2, 0.8, seed=3, noise_sigma=0.0)
-    # E = forward makes every c entry vanish up to the rounding gap
-    # between the rowwise and dense evaluations of f
-    for i in range(4):
-        assert abs(grad_entry(inst, 2, 1, i)) <= 1e-13
-
-
-def test_grad_entry_single_row():
-    inst = random_instance(1, 2, 0.5, seed=4)
-    for i0 in range(2):
-        for i in range(4):
-            assert abs(grad_entry(inst, 0, i0, i)) <= 1e-16
-
-
-def test_grad_entry_index_errors():
-    inst = random_instance(4, 2, 0.5, seed=5)
-    with pytest.raises(ValueError, match="out of range"):
-        grad_entry(inst, 4, 0, 0)
-    with pytest.raises(ValueError, match="out of range"):
-        grad_entry(inst, 0, 2, 0)
-    with pytest.raises(ValueError, match="out of range"):
-        grad_entry(inst, 0, 0, 4)
-
-
-@pytest.mark.parametrize("n,d", [(4, 2), (6, 3)])
-def test_grad_entries_sum_to_gradient(n, d):
-    # linearity of the derivative: the full gradient is the sum of the
-    # per-(j0, i0) terms, coordinate by coordinate
-    inst = random_instance(n, d, 1.0, seed=6)
-    g = gradient_exact(inst).g
-    for i in range(d * d):
-        total = sum(grad_entry(inst, j0, i0, i) for j0 in range(n) for i0 in range(d))
-        assert abs(total - g[i]) <= 1e-10
 
 
 def _row_quantities(inst, x):

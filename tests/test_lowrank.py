@@ -14,13 +14,11 @@ from attngrad.lowrank import (
     PolyConfig,
     feature_map,
     gradient_fast,
-    lowrank_p1_factors,
-    lowrank_p2_factors,
-    lowrank_q_factors,
     lowrank_softmax_factors,
     select_degree,
     taylor_remainder,
 )
+from attngrad.oracles import factor_chain
 
 
 def uniform_softmax_instance(n, d, seed, b_label=1.0):
@@ -56,17 +54,7 @@ def test_monomial_count():
 
 def test_select_degree_rank_blowup():
     with pytest.raises(ValueError, match="rank blowup"):
-        select_degree(5.0, 1e-12, 8, cap=20000)
-
-
-def test_rank_cap_env_override(monkeypatch):
-    from attngrad.lowrank import DEFAULT_RANK_CAP, RANK_CAP_ENV, rank_cap
-
-    assert rank_cap() == DEFAULT_RANK_CAP
-    monkeypatch.setenv(RANK_CAP_ENV, "50")
-    assert rank_cap() == 50
-    with pytest.raises(ValueError, match="rank blowup"):
-        select_degree(1.0, 1e-6, 4)  # needs C(13, 9) = 715 features
+        select_degree(5.0, 1e-12, 8)
 
 
 def test_feature_map_degree_zero():
@@ -98,25 +86,25 @@ def test_feature_map_inner_product_identity(seed):
 
 def test_softmax_factors_rank_one_at_zero_bound():
     inst = uniform_softmax_instance(16, 3, seed=0)
-    fac = lowrank_softmax_factors(inst, eps=1e-6)
-    assert fac.k == 1 and fac.config.g == 0
-    assert np.array_equal(fac.V, np.ones((16, 1)))
-    assert np.abs(fac.U - 1.0 / 16).max() <= 1e-16
+    u1, v1, cfg = lowrank_softmax_factors(inst, eps=1e-6)
+    assert cfg.m_feat == 1 and cfg.g == 0
+    assert np.array_equal(v1, np.ones((16, 1)))
+    assert np.abs(u1 - 1.0 / 16).max() <= 1e-16
     f, _ = compute_softmax(compute_exp_matrix(inst))
-    assert np.abs(fac.U @ fac.V.T - f).max() <= 1e-15
+    assert np.abs(u1 @ v1.T - f).max() <= 1e-15
 
 
 def test_softmax_factors_accuracy():
     inst = random_instance(64, 4, 0.8, seed=1)
-    fac = lowrank_softmax_factors(inst, eps=1e-4)
+    u1, v1, _ = lowrank_softmax_factors(inst, eps=1e-4)
     f, _ = compute_softmax(compute_exp_matrix(inst))
-    assert np.abs(fac.U @ fac.V.T - f).max() <= 1e-4
+    assert np.abs(u1 @ v1.T - f).max() <= 1e-4
 
 
 def test_softmax_factors_rows_sum_to_one():
     inst = random_instance(32, 3, 0.9, seed=2)
-    fac = lowrank_softmax_factors(inst, eps=1e-3)
-    assert np.abs((fac.U @ fac.V.T).sum(1) - 1.0).max() <= 1e-12
+    u1, v1, _ = lowrank_softmax_factors(inst, eps=1e-3)
+    assert np.abs((u1 @ v1.T).sum(1) - 1.0).max() <= 1e-12
 
 
 def test_softmax_factors_destroyed_row_sums():
@@ -136,127 +124,115 @@ def test_softmax_factors_destroyed_row_sums():
 
 
 def build_chain(inst, eps):
-    fac_f = lowrank_softmax_factors(inst, eps)
+    """Softmax factors from the production path, then the explicit
+    lemma chain on top of them."""
+    u1, v1, _ = lowrank_softmax_factors(inst, eps)
     h = compute_h(inst.A3, inst.Y)
-    fac_q = lowrank_q_factors(fac_f, h, inst.E)
-    return fac_f, fac_q, h
+    return factor_chain(u1, v1, h, inst.E), h
+
+
+def product(pair):
+    u, v = pair
+    return u @ v.T
 
 
 def test_q_factors_shapes_and_exact_fit():
     inst = random_instance(24, 3, 0.7, seed=3)
-    fac_f = lowrank_softmax_factors(inst, 1e-4)
+    u1, v1, _ = lowrank_softmax_factors(inst, 1e-4)
     h = compute_h(inst.A3, inst.Y)
-    e_fit = fac_f.U @ (fac_f.V.T @ h)
-    fac_q = lowrank_q_factors(fac_f, h, e_fit)
-    assert fac_q.k == fac_f.k + inst.d
-    assert np.abs(fac_q.U @ fac_q.V.T).max() <= 1e-12
+    e_fit = u1 @ (v1.T @ h)
+    u2, v2 = factor_chain(u1, v1, h, e_fit)["q"]
+    assert u2.shape[1] == v2.shape[1] == u1.shape[1] + inst.d
+    assert np.abs(u2 @ v2.T).max() <= 1e-12
 
 
 def test_q_factors_error_bound():
     inst = random_instance(64, 4, 0.8, seed=4)
-    fac_f, fac_q, h = build_chain(inst, 1e-4)
+    chain, h = build_chain(inst, 1e-4)
+    u1, v1 = chain["f"]
     f, _ = compute_softmax(compute_exp_matrix(inst))
     c = f @ h - inst.E
     q = compute_q(c, h)
-    err_f = np.abs(fac_f.U @ fac_f.V.T - f).max()
-    c_tilde = fac_f.U @ (fac_f.V.T @ h) - inst.E
+    err_f = np.abs(u1 @ v1.T - f).max()
+    c_tilde = u1 @ (v1.T @ h) - inst.E
     err_c = np.abs(c_tilde - c).max()
-    err_q = np.abs(fac_q.U @ fac_q.V.T - q).max()
+    err_q = np.abs(product(chain["q"]) - q).max()
     h_inf = np.abs(h).max()
     assert err_c <= inst.n * h_inf * err_f + 1e-15
     assert err_q <= inst.d * h_inf * err_c + 1e-15
 
 
-def test_q_factors_require_softmax_target():
-    inst = random_instance(8, 2, 0.5, seed=5)
-    fac_f, fac_q, h = build_chain(inst, 1e-3)
-    with pytest.raises(ValueError, match="softmax_f"):
-        lowrank_q_factors(fac_q, h, inst.E)
-
-
 def test_p1_factors_zero_q():
     inst = random_instance(8, 2, 0.5, seed=6)
-    fac_f = lowrank_softmax_factors(inst, 1e-3)
-    zero_q = lowrank_q_factors(fac_f, np.zeros((8, 2)), np.zeros((8, 2)))
-    fac_p1 = lowrank_p1_factors(fac_f, zero_q)
-    assert np.abs(fac_p1.U @ fac_p1.V.T).max() == 0.0
+    u1, v1, _ = lowrank_softmax_factors(inst, 1e-3)
+    chain = factor_chain(u1, v1, np.zeros((8, 2)), np.zeros((8, 2)))
+    assert np.abs(product(chain["p1"])).max() == 0.0
 
 
 def test_p1_factors_match_entrywise_product():
-    # eps kept loose so the Kronecker rank k1*k2 fits the default cap
     inst = random_instance(32, 3, 0.8, seed=7)
-    fac_f, fac_q, h = build_chain(inst, 1e-2)
-    fac_p1 = lowrank_p1_factors(fac_f, fac_q)
-    assert fac_p1.k == fac_f.k * fac_q.k
-    f_tilde = fac_f.U @ fac_f.V.T
-    q_tilde = fac_q.U @ fac_q.V.T
-    assert np.abs(fac_p1.U @ fac_p1.V.T - f_tilde * q_tilde).max() <= 1e-12
+    chain, h = build_chain(inst, 1e-2)
+    u3, v3 = chain["p1"]
+    k1, k2 = chain["f"][0].shape[1], chain["q"][0].shape[1]
+    assert u3.shape[1] == v3.shape[1] == k1 * k2
+    f_tilde = product(chain["f"])
+    q_tilde = product(chain["q"])
+    assert np.abs(u3 @ v3.T - f_tilde * q_tilde).max() <= 1e-12
 
 
 def test_p1_factors_error_vs_exact():
     inst = random_instance(64, 3, 0.8, seed=8)
-    fac_f, fac_q, h = build_chain(inst, 1e-2)
-    fac_p1 = lowrank_p1_factors(fac_f, fac_q)
+    chain, h = build_chain(inst, 1e-2)
     f, _ = compute_softmax(compute_exp_matrix(inst))
     q = compute_q(f @ h - inst.E, h)
-    f_tilde = fac_f.U @ fac_f.V.T
+    f_tilde = product(chain["f"])
     err_f = np.abs(f_tilde - f).max()
-    err_q = np.abs(fac_q.U @ fac_q.V.T - q).max()
+    err_q = np.abs(product(chain["q"]) - q).max()
     scale = max(np.abs(q).max(), np.abs(f_tilde).max())
-    assert np.abs(fac_p1.U @ fac_p1.V.T - f * q).max() <= (err_f + err_q) * scale + 1e-15
-
-
-def test_p1_factors_rank_cap():
-    inst = random_instance(8, 2, 0.8, seed=9)
-    fac_f, fac_q, h = build_chain(inst, 1e-6)
-    with pytest.raises(ValueError, match="rank cap"):
-        lowrank_p1_factors(fac_f, fac_q, cap=fac_f.k * fac_q.k - 1)
+    assert np.abs(product(chain["p1"]) - f * q).max() <= (err_f + err_q) * scale + 1e-15
 
 
 def test_p2_factors_zero_q():
     inst = random_instance(8, 2, 0.5, seed=10)
-    fac_f = lowrank_softmax_factors(inst, 1e-3)
-    zero_q = lowrank_q_factors(fac_f, np.zeros((8, 2)), np.zeros((8, 2)))
-    fac_p2 = lowrank_p2_factors(fac_f, zero_q)
-    assert np.abs(fac_p2.U).max() == 0.0
+    u1, v1, _ = lowrank_softmax_factors(inst, 1e-3)
+    chain = factor_chain(u1, v1, np.zeros((8, 2)), np.zeros((8, 2)))
+    assert np.abs(chain["p2"][0]).max() == 0.0
 
 
 def test_p2_row_dots_identity():
     inst = random_instance(32, 3, 0.8, seed=11)
-    fac_f, fac_q, h = build_chain(inst, 1e-4)
-    gram = fac_f.V.T @ fac_q.V
-    r = ((fac_f.U @ gram) * fac_q.U).sum(1)
-    f_tilde = fac_f.U @ fac_f.V.T
-    q_tilde = fac_q.U @ fac_q.V.T
+    chain, h = build_chain(inst, 1e-4)
+    (u1, v1), (u2, v2) = chain["f"], chain["q"]
+    r = ((u1 @ (v1.T @ v2)) * u2).sum(1)
+    f_tilde = u1 @ v1.T
+    q_tilde = u2 @ v2.T
     assert np.abs(r - (f_tilde * q_tilde).sum(1)).max() <= 1e-12
 
 
 def test_p2_factors_error_vs_exact():
     inst = random_instance(64, 4, 0.8, seed=12)
-    fac_f, fac_q, h = build_chain(inst, 1e-4)
-    fac_p2 = lowrank_p2_factors(fac_f, fac_q)
-    assert fac_p2.k == fac_f.k
+    chain, h = build_chain(inst, 1e-4)
+    u4, v4 = chain["p2"]
+    assert u4.shape[1] == v4.shape[1] == chain["f"][0].shape[1]
     f, _ = compute_softmax(compute_exp_matrix(inst))
     q = compute_q(f @ h - inst.E, h)
     p2_exact = (f * q).sum(1)[:, None] * f
-    assert np.abs(fac_p2.U @ fac_p2.V.T - p2_exact).max() <= 1e-6
+    assert np.abs(u4 @ v4.T - p2_exact).max() <= 1e-6
 
 
 def test_exactness_chain_at_zero_bound():
     # with a vanishing exp argument every factor product hits its
     # target: f, q, p1 = f * q, and p2 = diag(r) f
     inst = uniform_softmax_instance(32, 3, seed=20)
-    fac_f, fac_q, h = build_chain(inst, 1e-8)
-    fac_p1 = lowrank_p1_factors(fac_f, fac_q)
-    fac_p2 = lowrank_p2_factors(fac_f, fac_q)
+    chain, h = build_chain(inst, 1e-8)
     f, _ = compute_softmax(compute_exp_matrix(inst))
     q = compute_q(f @ h - inst.E, h)
     p1 = f * q
     p2 = (f * q).sum(1)[:, None] * f
-    assert np.abs(fac_f.U @ fac_f.V.T - f).max() <= 1e-12
-    assert np.abs(fac_q.U @ fac_q.V.T - q).max() <= 1e-12
-    assert np.abs(fac_p1.U @ fac_p1.V.T - p1).max() <= 1e-12
-    assert np.abs(fac_p2.U @ fac_p2.V.T - p2).max() <= 1e-12
+    assert np.abs(product(chain["f"]) - f).max() <= 1e-12
+    assert np.abs(product(chain["q"]) - q).max() <= 1e-12
+    assert np.abs(product(chain["p1"]) - p1).max() <= 1e-12
+    assert np.abs(product(chain["p2"]) - p2).max() <= 1e-12
 
 
 def test_factored_assembly_matches_gradient_fast():
@@ -264,11 +240,10 @@ def test_factored_assembly_matches_gradient_fast():
     # gradient_fast evaluate the same factorization
     inst = random_instance(48, 3, 0.8, seed=13)
     eps = 1e-3
-    fac_f, fac_q, h = build_chain(inst, eps)
-    fac_p1 = lowrank_p1_factors(fac_f, fac_q)
-    fac_p2 = lowrank_p2_factors(fac_f, fac_q)
-    G = (inst.A1.T @ fac_p1.U) @ (fac_p1.V.T @ inst.A2)
-    G -= (inst.A1.T @ fac_p2.U) @ (fac_p2.V.T @ inst.A2)
+    chain, h = build_chain(inst, eps)
+    (u3, v3), (u4, v4) = chain["p1"], chain["p2"]
+    G = (inst.A1.T @ u3) @ (v3.T @ inst.A2)
+    G -= (inst.A1.T @ u4) @ (v4.T @ inst.A2)
     G /= inst.d
     res = gradient_fast(inst, eps)
     assert np.abs(res.g - G.ravel()).max() <= 1e-12
@@ -310,8 +285,8 @@ def test_error_monotone_in_eps():
     f, _ = compute_softmax(compute_exp_matrix(inst))
     errs = []
     for eps in (1e-2, 5e-3, 2.5e-3, 1e-4, 1e-6, 1e-8):
-        fac = lowrank_softmax_factors(inst, eps)
-        errs.append(np.abs(fac.U @ fac.V.T - f).max())
+        u1, v1, _ = lowrank_softmax_factors(inst, eps)
+        errs.append(np.abs(u1 @ v1.T - f).max())
     for a, b in zip(errs, errs[1:]):
         assert b <= a + 1e-15
 
