@@ -7,10 +7,12 @@ The chain is
     p_j = f_j * q_j - <f_j, q_j> f_j        (row j of p, in O(n))
     dL/dx = (1/d) vec(A1^T p A2)            (length d**2)
 
-which costs two n x d x n products plus O(n^2) elementwise work; the
-d**2-wide lift A1 (x) A2 is never materialized. This is the dense
-production path; its independent references are the finite-difference
-and brute-force oracles in ``oracles``.
+evaluated one row block of ``forward.softmax_blocks`` at a time: each
+block J forms c_J, q_J and p_J and adds A1_J^T (p_J A2) to the sum, so
+the cost is O(n**2 d) time and O(n d + BLOCK_ENTRIES) memory, and the
+d**2-wide lift A1 (x) A2 is never materialized. Its independent
+references are the finite-difference and brute-force oracles in
+``oracles``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import check_finite, vec
-from .forward import AttentionInstance, softmax_cache
+from .forward import AttentionInstance, compute_h, softmax_blocks
 
 
 @dataclass
@@ -43,15 +45,6 @@ def _result(G: np.ndarray, method: str, t0: float, info: dict | None = None) -> 
     )
 
 
-def compute_q(c: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """q = c h^T; row j0 is the h-weighted combination sum_i0 c[j0,i0] h[:,i0]."""
-    c = np.asarray(c, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if c.shape != h.shape:
-        raise ValueError(f"compute_q: shape mismatch {c.shape} vs {h.shape}")
-    return c @ h.T
-
-
 def compute_p(f: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Apply the softmax Jacobian rowwise:
     p[j] = (diag(f_j) - f_j f_j^T) q_j = f_j * (q_j - <f_j, q_j>).
@@ -67,11 +60,11 @@ def compute_p(f: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def gradient_exact(inst: AttentionInstance) -> GradientResult:
-    """Exact gradient (1/d) vec(A1^T p A2) via the dense c/q/p chain."""
+    """Exact gradient (1/d) vec(A1^T p A2) via the row-blocked c/q/p chain."""
     t0 = time.perf_counter()
-    cache = softmax_cache(inst)
-    c = cache.f @ cache.h - inst.E
-    q = compute_q(c, cache.h)
-    p = compute_p(cache.f, q)
-    G = (inst.A1.T @ p @ inst.A2) / inst.d
-    return _result(G, "exact", t0)
+    h = compute_h(inst.A3, inst.Y)
+    G = np.zeros((inst.d, inst.d))
+    for rows, f in softmax_blocks(inst):
+        c = f @ h - inst.E[rows]
+        G += inst.A1[rows].T @ (compute_p(f, c @ h.T) @ inst.A2)
+    return _result(G / inst.d, "exact", t0)

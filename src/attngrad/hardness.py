@@ -115,15 +115,17 @@ def _row_terms(hi: HardInstance, lam: float):
     the same sum over all j. The common factor exp(shift) cancels in
     every quotient used below.
     """
-    r = lam * hi.A
-    shift = r.max(axis=1)
-    w = np.exp(r - shift[:, None])
-    aw = hi.A * w
-    aaw = hi.A * aw
-    s0 = w @ hi.V
-    s1 = aw @ hi.V
-    s2 = aaw @ hi.V
-    return s0, s1, s2, w.sum(1), aw.sum(1), aaw.sum(1), shift
+    # one n x n buffer, scaled by A in place between the three sums
+    w = lam * hi.A
+    shift = w.max(axis=1)
+    w -= shift[:, None]
+    np.exp(w, out=w)
+    s0, t0 = w @ hi.V, w.sum(1)
+    w *= hi.A
+    s1, t1 = w @ hi.V, w.sum(1)
+    w *= hi.A
+    s2, t2 = w @ hi.V, w.sum(1)
+    return s0, s1, s2, t0, t1, t2, shift
 
 
 def f_lambda(hi: HardInstance, lam: float) -> float:

@@ -144,7 +144,13 @@ def lowrank_softmax_factors(
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     b_eff = effective_bound(inst)
-    cfg = select_degree(b_eff, default_eps_prime(eps, b_eff, inst.d), inst.d)
+    eps_prime = default_eps_prime(eps, b_eff, inst.d)
+    if eps_prime == 0.0:
+        raise ValueError(
+            f"effective B={b_eff:.6g} is too large for the fast path: its entrywise "
+            "target underflows to 0; reduce B or use gradient_exact"
+        )
+    cfg = select_degree(b_eff, eps_prime, inst.d)
     u_raw = _monomial_columns(inst.A1 @ inst.X, cfg)
     v1 = _monomial_columns(inst.A2, cfg)
     alpha = u_raw @ v1.sum(axis=0)

@@ -1,5 +1,5 @@
-"""Forward attention: exp matrix, softmax normalization, value
-projection, loss, and the instance container."""
+"""Forward attention: exp matrix, softmax normalization and its row
+blocks, value projection, loss, and the instance container."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,8 @@ from attngrad.forward import (
     random_instance,
     save_instance,
 )
+from attngrad.gradient import compute_p, gradient_exact
+from attngrad.oracles import brute_kron_gradient, finite_diff_gradient
 
 E_CONST = np.e
 
@@ -155,7 +157,16 @@ def test_instance_validates_bounds():
                           A3=np.ones((2, 1)), E=np.zeros((2, 1)),
                           X=[[3.0]], Y=np.ones((1, 1)), B=1.0)
     with pytest.raises(ValueError, match="entry bound"):
-        random_instance(4, 2, 30.0, seed=0)
+        random_instance(4, 2, -1.0, seed=0)
+
+
+def test_large_entry_bound_is_computable():
+    # exponents reach B**2 = 1600, far past the float64 exp range
+    inst = random_instance(4, 2, 40.0, seed=0)
+    val, _ = loss(inst)
+    assert np.isfinite(val)
+    diff = gradient_exact(inst).g - finite_diff_gradient(inst, 1e-4).g
+    assert np.abs(diff).max() <= 1e-5
 
 
 def test_instance_validates_shapes_and_finiteness():
@@ -170,24 +181,33 @@ def test_instance_validates_shapes_and_finiteness():
                           X=np.ones((1, 1)), Y=np.ones((1, 1)), B=1.0)
 
 
-def test_dense_cap_refusal(monkeypatch):
-    inst = random_instance(8, 2, 0.5, seed=9)
-    monkeypatch.setattr(forward_module, "DENSE_N_CAP", 4)
-    with pytest.raises(ValueError, match="fast path"):
-        compute_exp_matrix(inst)
+def test_block_boundaries_match_dense_reference(monkeypatch):
+    inst = random_instance(3, 2, 0.9, seed=9)
+    f, _ = compute_softmax(compute_exp_matrix(inst))
+    h = compute_h(inst.A3, inst.Y)
+    c = f @ h - inst.E
+    dense_G = inst.A1.T @ compute_p(f, c @ h.T) @ inst.A2 / inst.d
+    brute_G = brute_kron_gradient(inst).G
+    # n = 3: one row per block, two rows then one, and a single block
+    for entries in (1, 7, inst.n * inst.n):
+        monkeypatch.setattr(forward_module, "BLOCK_ENTRIES", entries)
+        G = gradient_exact(inst).G
+        assert np.abs(forward(inst) - f @ h).max() <= 1e-14
+        assert np.abs(G - dense_G).max() <= 1e-14
+        assert np.abs(G - brute_G).max() <= 1e-10
 
 
-def test_row_sum_overflow_refused():
+def test_row_sum_overflow_instance_is_exact():
     # every exponent is 708.9, inside the float64 exp range, but four of
-    # them overflow the row sum; unguarded, f = 0 and the loss reads 2.0
-    # where the true loss is 0
+    # them overflow an unshifted row sum; the max shift makes f uniform,
+    # so the output is exactly E and the loss and gradient are 0
     b = np.sqrt(708.9)
     inst = AttentionInstance(A1=np.full((4, 1), b), A2=np.full((4, 1), b),
                              A3=np.ones((4, 1)), E=np.ones((4, 1)),
                              X=[[1.0]], Y=[[1.0]], B=b)
     assert np.isfinite(compute_exp_matrix(inst)).all()
-    with pytest.raises(ValueError, match="reduce the entry bound B"):
-        loss(inst)
+    assert loss(inst)[0] == 0.0
+    assert np.all(gradient_exact(inst).g == 0.0)
 
 
 def test_random_instance_deterministic():

@@ -1,32 +1,16 @@
-"""Exact gradient chain: q, p, the closed form, and the derivatives of
+"""Exact gradient chain: p, the closed form, and the derivatives of
 one softmax row."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from attngrad.forward import compute_exp_matrix, compute_softmax, random_instance
-from attngrad.gradient import compute_p, compute_q, gradient_exact
+from attngrad.forward import BLOCK_ENTRIES, compute_exp_matrix, compute_softmax, \
+    random_instance
+from attngrad.gradient import compute_p, gradient_exact
 from attngrad.oracles import finite_diff_gradient
 from tests.test_forward import worked_instance
-
-
-def test_q_zero_residual():
-    assert np.array_equal(compute_q(np.zeros((3, 2)), np.ones((3, 2))), np.zeros((3, 3)))
-
-
-def test_q_hand_example():
-    q = compute_q(np.array([[0.5], [0.5]]), np.array([[1.0], [0.0]]))
-    assert np.array_equal(q, [[0.5, 0.0], [0.5, 0.0]])
-
-
-def test_q_rowwise_oracle():
-    rng = np.random.default_rng(0)
-    c = rng.standard_normal((4, 2))
-    h = rng.standard_normal((4, 2))
-    q = compute_q(c, h)
-    for j in range(4):
-        row = sum(c[j, i0] * h[:, i0] for i0 in range(2))
-        assert np.abs(q[j] - row).max() <= 1e-14
 
 
 def test_p_degenerate_single_row():
@@ -68,6 +52,16 @@ def test_gradient_result_vec_consistency():
     assert np.array_equal(res.g, res.G.ravel())
     assert res.method == "exact"
     assert res.elapsed_seconds > 0
+
+
+def test_gradient_memory_is_blocked():
+    # a few row blocks and n x d arrays are live at once, never n x n
+    inst = random_instance(2048, 4, 0.8, seed=3)
+    tracemalloc.start()
+    gradient_exact(inst)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 8 * 8 * (BLOCK_ENTRIES + inst.n * inst.d)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -9,7 +9,7 @@ import pytest
 
 from attngrad.forward import AttentionInstance, compute_h, compute_softmax, \
     compute_exp_matrix, random_instance
-from attngrad.gradient import compute_q, gradient_exact
+from attngrad.gradient import gradient_exact
 from attngrad.lowrank import (
     PolyConfig,
     feature_map,
@@ -123,6 +123,17 @@ def test_softmax_factors_destroyed_row_sums():
         lowrank_softmax_factors(inst, eps)
 
 
+def test_fast_path_refuses_underflowing_target():
+    # effective B = sqrt(708.9): exp(-2 B^2) underflows, so the entrywise
+    # target is 0 and the error must say what to change
+    b = np.sqrt(708.9)
+    inst = AttentionInstance(A1=np.full((4, 1), b), A2=np.full((4, 1), b),
+                             A3=np.ones((4, 1)), E=np.ones((4, 1)),
+                             X=[[1.0]], Y=[[1.0]], B=b)
+    with pytest.raises(ValueError, match=r"effective B=26\.6.*reduce B or use gradient_exact"):
+        gradient_fast(inst, 1e-2)
+
+
 def build_chain(inst, eps):
     """Softmax factors from the production path, then the explicit
     lemma chain on top of them."""
@@ -152,7 +163,7 @@ def test_q_factors_error_bound():
     u1, v1 = chain["f"]
     f, _ = compute_softmax(compute_exp_matrix(inst))
     c = f @ h - inst.E
-    q = compute_q(c, h)
+    q = c @ h.T
     err_f = np.abs(u1 @ v1.T - f).max()
     c_tilde = u1 @ (v1.T @ h) - inst.E
     err_c = np.abs(c_tilde - c).max()
@@ -184,7 +195,7 @@ def test_p1_factors_error_vs_exact():
     inst = random_instance(64, 3, 0.8, seed=8)
     chain, h = build_chain(inst, 1e-2)
     f, _ = compute_softmax(compute_exp_matrix(inst))
-    q = compute_q(f @ h - inst.E, h)
+    q = (f @ h - inst.E) @ h.T
     f_tilde = product(chain["f"])
     err_f = np.abs(f_tilde - f).max()
     err_q = np.abs(product(chain["q"]) - q).max()
@@ -215,7 +226,7 @@ def test_p2_factors_error_vs_exact():
     u4, v4 = chain["p2"]
     assert u4.shape[1] == v4.shape[1] == chain["f"][0].shape[1]
     f, _ = compute_softmax(compute_exp_matrix(inst))
-    q = compute_q(f @ h - inst.E, h)
+    q = (f @ h - inst.E) @ h.T
     p2_exact = (f * q).sum(1)[:, None] * f
     assert np.abs(u4 @ v4.T - p2_exact).max() <= 1e-6
 
@@ -226,7 +237,7 @@ def test_exactness_chain_at_zero_bound():
     inst = uniform_softmax_instance(32, 3, seed=20)
     chain, h = build_chain(inst, 1e-8)
     f, _ = compute_softmax(compute_exp_matrix(inst))
-    q = compute_q(f @ h - inst.E, h)
+    q = (f @ h - inst.E) @ h.T
     p1 = f * q
     p2 = (f * q).sum(1)[:, None] * f
     assert np.abs(product(chain["f"]) - f).max() <= 1e-12
