@@ -78,6 +78,8 @@ class AttentionInstance:
                 )
         if not self.B >= 0.0:
             raise ValueError(f"entry bound B={self.B} must be nonnegative")
+        if not np.isfinite(d * self.B * self.B):
+            raise ValueError(f"score bound d*B**2 overflows float64 at B={self.B:.6g}; reduce B")
         tol = self.B + _BOUND_SLACK * (1.0 + self.B)
         a1x = np.abs(self.A1 @ self.X).max() if d else 0.0
         if a1x > tol:

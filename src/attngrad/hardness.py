@@ -152,11 +152,11 @@ def f_lambda_derivative(hi: HardInstance, lam: float) -> tuple[float, float]:
 
 
 def row_denominators(hi: HardInstance, lam: float) -> np.ndarray:
-    """b(lambda, i) = (sum_k exp(lambda A[i,k]))**2, unshifted; with at
-    least half of each row equal to B these sit between
-    (n/2)**2 exp(2 B lambda) and n**2 exp(2 B lambda)."""
+    """log b(lambda, i), b = (sum_k exp(lambda A[i,k]))**2, finite for
+    any lambda B; with at least half of each row equal to B, b sits
+    between (n/2)**2 exp(2 B lambda) and n**2 exp(2 B lambda)."""
     _, _, _, t0, _, _, shift = _row_terms(hi, lam)
-    return (np.exp(shift) * t0) ** 2
+    return 2.0 * (shift + np.log(t0))
 
 
 def riemann_sum(fprime, m: int) -> float:

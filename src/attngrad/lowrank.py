@@ -7,12 +7,12 @@ feature map of rank C(d+g, g): for rows u, w in R^d,
     phi(u) . phi(w) = sum_{l<=g} (u.w / d)^l / l!  ~=  exp(u.w / d).
 
 ``lowrank_softmax_factors`` turns this into a rank-k1 factorization
-f ~= U1 V1^T of the softmax matrix, and ``gradient_fast`` contracts the
-whole gradient chain through U1 and V1 without ever materializing an
-n x n or n x k1 (k1 + d) matrix, at cost O(n d**2 k1) and peak memory
-O(n k1). The explicit factorizations of the chain's links (q, p1, p2)
-live in ``oracles.factor_chain``, as the reference the fused
-contraction is checked against.
+f ~= U1 V1^T of the softmax matrix. ``gradient_fast`` holds neither
+factor: it reduces the key side once to a k1 x (d+1)**2 sum, then
+streams query rows in blocks, at cost O(n d**2 k1) and memory
+O(n d + k1 d**2 + FEATURE_ENTRIES). The explicit factorizations of the
+chain's links (q, p1, p2) live in ``oracles.factor_chain``, as the
+reference the fused contraction is checked against.
 
 Degree selection uses the explicit Taylor remainder bound
 exp(B**2) (B**2)^(g+1) / (g+1)! rather than an asymptotic formula, so
@@ -36,6 +36,10 @@ from .gradient import GradientResult, _result
 
 # largest feature count C(d+g, g) that select_degree accepts
 RANK_CAP = 20000
+
+# entries held by one block of gradient_fast (16 MB of float64): within
+# 10% of the fastest of 1 << 19 .. 1 << 22 at k1 = 495, 3003 and 12870
+FEATURE_ENTRIES = 1 << 21
 
 
 @dataclass
@@ -79,31 +83,33 @@ def select_degree(B: float, eps_prime: float, d: int) -> PolyConfig:
     return PolyConfig(B=B, eps_prime=eps_prime, g=g, d=d, m_feat=math.comb(d + g, g))
 
 
-def _monomial_columns(m: np.ndarray, cfg: PolyConfig) -> np.ndarray:
-    """Feature matrix with rows phi(m[i, :]).
+def _features(m: np.ndarray, cfg: PolyConfig) -> np.ndarray:
+    """phi(m[i, :]) for every row i, as the columns of a contiguous
+    m_feat x rows array.
 
-    Monomials are enumerated by total degree, each built from its
-    parent with one elementwise multiply. The coefficient of monomial
-    beta is 1 / sqrt(prod(beta_i!) * d**|beta|), folded in
-    incrementally: extending by variable j divides by sqrt(c_j * d)
-    where c_j is the new exponent of variable j.
+    Monomial beta has coefficient 1 / sqrt(prod(beta_i!) d**|beta|), a
+    product of per-variable factors x**e / sqrt(e! d**e). Each degree
+    level is ordered by last variable j, so the monomials in which j
+    has exponent e are a prefix of level - e (those whose variables all
+    precede j) times one factor: one multiply per (level, j, e).
     """
-    n, d = m.shape
-    out = np.empty((n, cfg.m_feat))
-    out[:, 0] = 1.0
-    # frontier entries: (column index, exponent counts, first extendable var)
-    frontier = [(0, [0] * d, 0)]
-    next_col = 1
-    for _ in range(cfg.g):
-        new_frontier = []
-        for ci, counts, start in frontier:
-            for j in range(start, d):
-                cj = counts[j] + 1
-                out[:, next_col] = out[:, ci] * m[:, j] * (1.0 / math.sqrt(cj * d))
-                new_frontier.append((next_col, counts[:j] + [cj] + counts[j + 1:], j))
-                next_col += 1
-        frontier = new_frontier
-    assert next_col == cfg.m_feat
+    mt = np.ascontiguousarray(m.T)
+    psi = [np.ones_like(mt)]
+    for e in range(1, cfg.g + 1):
+        psi.append(psi[-1] * mt * (1.0 / math.sqrt(e * cfg.d)))
+    out = np.empty((cfg.m_feat, mt.shape[1]))
+    out[0] = 1.0
+    # first row of each level, and its count of monomials before variable j
+    start, before, top = [0], [[1] * cfg.d], 1
+    for level in range(1, cfg.g + 1):
+        start.append(top)
+        before.append([])
+        for j in range(cfg.d):
+            before[level].append(top - start[level])
+            for e in range(1, level + 1):
+                lo, p = start[level - e], before[level - e][j]
+                np.multiply(out[lo:lo + p], psi[e][j], out=out[top:top + p])
+                top += p
     return out
 
 
@@ -113,7 +119,7 @@ def feature_map(v: np.ndarray, cfg: PolyConfig) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size != cfg.d:
         raise ValueError(f"expected length-{cfg.d} vector, got shape {v.shape}")
-    return _monomial_columns(v[None, :], cfg)[0]
+    return _features(v[None, :], cfg)[:, 0]
 
 
 def default_eps_prime(eps: float, B: float, d: int) -> float:
@@ -130,6 +136,20 @@ def effective_bound(inst: AttentionInstance) -> float:
     return float(np.sqrt(a1x * a2))
 
 
+def _poly_config(inst: AttentionInstance, eps: float) -> PolyConfig:
+    """Degree and rank of the fast path for ``inst`` at gradient tolerance eps."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    b_eff = effective_bound(inst)
+    eps_prime = default_eps_prime(eps, b_eff, inst.d)
+    if eps_prime == 0.0:
+        raise ValueError(
+            f"effective B={b_eff:.6g} is too large for the fast path: its entrywise "
+            "target underflows to 0; reduce B or use gradient_exact"
+        )
+    return select_degree(b_eff, eps_prime, inst.d)
+
+
 def lowrank_softmax_factors(
     inst: AttentionInstance, eps: float,
 ) -> tuple[np.ndarray, np.ndarray, PolyConfig]:
@@ -141,18 +161,9 @@ def lowrank_softmax_factors(
     U1, so rows of U1 V1^T sum to one exactly up to rounding. Never
     touches an n x n matrix.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    b_eff = effective_bound(inst)
-    eps_prime = default_eps_prime(eps, b_eff, inst.d)
-    if eps_prime == 0.0:
-        raise ValueError(
-            f"effective B={b_eff:.6g} is too large for the fast path: its entrywise "
-            "target underflows to 0; reduce B or use gradient_exact"
-        )
-    cfg = select_degree(b_eff, eps_prime, inst.d)
-    u_raw = _monomial_columns(inst.A1 @ inst.X, cfg)
-    v1 = _monomial_columns(inst.A2, cfg)
+    cfg = _poly_config(inst, eps)
+    u_raw = _features(inst.A1 @ inst.X, cfg).T
+    v1 = _features(inst.A2, cfg).T
     alpha = u_raw @ v1.sum(axis=0)
     if (alpha <= 0.0).any():
         raise ValueError("approximation destroyed row sums; decrease eps_prime")
@@ -162,37 +173,39 @@ def lowrank_softmax_factors(
 def gradient_fast(inst: AttentionInstance, eps: float) -> GradientResult:
     """Approximate gradient from the factored chain, no n x n matrix.
 
-    Writing ft = U1 V1^T for the softmax approximation, ct = ft h - E,
-    and r_j = <ft_j, (ct h^T)_j>, the two gradient pieces are
+    With ft = diag(alpha)^-1 phi(A1 X) phi(A2)^T, z = ft h, ct = z - E
+    and r_j = <ct_j, z_j>, the gradient is A1^T pa / d where
 
-        A1^T (ft * (ct h^T)) A2
-            = sum_i (A1 * ct[:, i])^T U1 . V1^T (A2 * h[:, i])
-        A1^T diag(r) ft A2
-            = (A1^T (r * U1)) (V1^T A2)
+        pa_j = sum_i ct_ji ft_j (h[:, i] * A2) - r_j ft_j A2.
 
-    where ``*`` scales columns. Both distribute over the rank-k1
-    factors, so the cost is O(n d**2 k1) and peak memory O(n k1).
-    """
+    The key side enters only through R = phi(A2)^T ([1 | h] (row-kron)
+    [1 | A2]), k1 x (d+1)**2, reduced once; phi((A1 X)_J) R then gives
+    alpha, z, ft A2 and the ft (h * A2) sums for a block J of query
+    rows. Blocks hold at most ``FEATURE_ENTRIES`` entries: the cost is
+    O(n d**2 k1), the memory O(n d + k1 d**2 + FEATURE_ENTRIES) and
+    ``info["loss"]`` 0.5 ||ct||_F^2."""
     t0 = time.perf_counter()
-    u1, v1, cfg = lowrank_softmax_factors(inst, eps)
-    d = inst.d
-    h = compute_h(inst.A3, inst.Y)
-    w = v1.T @ h                      # k1 x d
-    z = u1 @ w                        # n x d, the approximate forward f~ h
-    c = z - inst.E
-    r = (c * z).sum(axis=1)           # row dots <f~_j, q~_j>
-    g1 = np.zeros((d, d))
-    for i in range(d):
-        left = (inst.A1 * c[:, i:i + 1]).T @ u1      # d x k1
-        right = v1.T @ (inst.A2 * h[:, i:i + 1])     # k1 x d
-        g1 += left @ right
-    g2 = (inst.A1.T @ (u1 * r[:, None])) @ (v1.T @ inst.A2)
-    G = (g1 - g2) / d
+    cfg = _poly_config(inst, eps)
+    n, d, w = inst.n, inst.d, inst.d + 1
+    hh = np.hstack([np.ones((n, 1)), compute_h(inst.A3, inst.Y)])
+    aa = np.hstack([np.ones((n, 1)), inst.A2])
+    step = max(1, FEATURE_ENTRIES // (cfg.m_feat + w * w))
+    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    R = sum(_features(inst.A2[b], cfg) @ (hh[b, :, None] * aa[b, None, :]).reshape(-1, w * w)
+            for b in blocks)
+    del hh, aa
+    a1x, pa, sq = inst.A1 @ inst.X, np.empty((n, d)), 0.0
+    for b in blocks:
+        u = (_features(a1x[b], cfg).T @ R).reshape(-1, w, w)
+        if (u[:, 0, 0] <= 0.0).any():
+            raise ValueError("approximation destroyed row sums; decrease eps_prime")
+        u /= u[:, :1, :1]
+        z, m, t = u[:, 1:, 0], u[:, 0, 1:], u[:, 1:, 1:]
+        c = z - inst.E[b]
+        pa[b] = np.matmul(c[:, None, :], t)[:, 0] - (c * z).sum(axis=1)[:, None] * m
+        sq += float((c * c).sum())
+        del u, z, m, t          # free this block before the next one is built
     k1 = cfg.m_feat
-    info = {
-        "degree": cfg.g,
-        "eps_prime": cfg.eps_prime,
-        "effective_B": cfg.B,
-        "k1": k1, "k2": k1 + d, "k3": k1 * (k1 + d), "k4": k1,
-    }
-    return _result(G, "fast", t0, info)
+    info = {"degree": cfg.g, "eps_prime": cfg.eps_prime, "effective_B": cfg.B, "k1": k1,
+            "k2": k1 + d, "k3": k1 * (k1 + d), "k4": k1, "loss": 0.5 * sq}
+    return _result(inst.A1.T @ pa / d, "fast", t0, info)

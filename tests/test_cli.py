@@ -66,6 +66,7 @@ def test_grad_fast_reports_ranks(capsys, tmp_path):
     assert code == 0
     assert report["k2"] == report["k1"] + 2
     assert report["degree"] >= 0 and len(report["g"]) == 4
+    assert report["loss"] > 0.0
 
 
 def test_grad_unknown_method_usage_error(capsys, tmp_path):

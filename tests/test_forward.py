@@ -160,6 +160,14 @@ def test_instance_validates_bounds():
         random_instance(4, 2, -1.0, seed=0)
 
 
+def test_score_overflow_refused():
+    # d B**2 = 1e320 overflows float64: scores A1 X A2^T would be inf
+    with pytest.raises(ValueError, match="reduce B"):
+        AttentionInstance(A1=[[1e160], [1e160]], A2=[[1e160], [-1e160]],
+                          A3=np.ones((2, 1)), E=np.zeros((2, 1)),
+                          X=[[1.0]], Y=[[1.0]], B=1e160)
+
+
 def test_large_entry_bound_is_computable():
     # exponents reach B**2 = 1600, far past the float64 exp range
     inst = random_instance(4, 2, 40.0, seed=0)

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from attngrad import lowrank
 from attngrad.forward import AttentionInstance, compute_h, compute_softmax, \
-    compute_exp_matrix, random_instance
+    compute_exp_matrix, loss, random_instance
 from attngrad.gradient import gradient_exact
 from attngrad.lowrank import (
     PolyConfig,
@@ -121,6 +122,8 @@ def test_softmax_factors_destroyed_row_sums():
     eps = epsp * 8 * 1 / math.exp(-2 * B * B)
     with pytest.raises(ValueError, match="destroyed row sums"):
         lowrank_softmax_factors(inst, eps)
+    with pytest.raises(ValueError, match="destroyed row sums"):
+        gradient_fast(inst, eps)
 
 
 def test_fast_path_refuses_underflowing_target():
@@ -260,6 +263,32 @@ def test_factored_assembly_matches_gradient_fast():
     assert np.abs(res.g - G.ravel()).max() <= 1e-12
 
 
+def test_block_boundaries_agree(monkeypatch):
+    # query and key passes with one row per block, three rows per block
+    # (n = 47 leaves a ragged last block) and a single block
+    inst = random_instance(47, 3, 0.8, seed=13)
+    per_row = gradient_fast(inst, 1e-3).info["k1"] + 4 ** 2
+    results = []
+    for entries in (1, 3 * per_row, inst.n * per_row):
+        monkeypatch.setattr(lowrank, "FEATURE_ENTRIES", entries)
+        results.append(gradient_fast(inst, 1e-3))
+    for res in results[1:]:
+        assert np.abs(res.G - results[0].G).max() <= 1e-14
+        assert abs(res.info["loss"] - results[0].info["loss"]) <= 1e-14
+
+
+@pytest.mark.parametrize("inst", [uniform_softmax_instance(64, 4, seed=14),
+                                  random_instance(32, 3, 0.0, seed=15)])
+def test_gradient_fast_loss_exact_at_zero_bound(inst):
+    assert abs(gradient_fast(inst, 1e-6).info["loss"] - loss(inst)[0]) <= 1e-12
+
+
+def test_gradient_fast_loss_accuracy():
+    inst = random_instance(256, 8, 0.8, seed=16)
+    exact, _ = loss(inst)
+    assert abs(gradient_fast(inst, 1e-4).info["loss"] - exact) <= 1e-4 * exact
+
+
 def test_gradient_fast_exact_at_zero_bound():
     inst = uniform_softmax_instance(64, 4, seed=14)
     res_fast = gradient_fast(inst, 1e-6)
@@ -315,3 +344,20 @@ def test_gradient_fast_never_materializes_n_by_n():
     k1 = res.info["k1"]
     budget = 20 * 8 * 4096 * max(k1, 8)
     assert peak < min(budget, 8 * 4096 * 4096 // 4)
+
+
+def test_gradient_fast_memory_is_blocked(monkeypatch):
+    # at a fixed degree (k1 = 165) the peak grows with n only through
+    # the n x d arrays: no n x k1 factor is held. Blocks of about 1000
+    # rows, so that both sizes span several.
+    monkeypatch.setattr(lowrank, "FEATURE_ENTRIES", 1 << 18)
+    peaks = []
+    for n in (4096, 16384):
+        inst = random_instance(n, 8, 0.3, seed=19)
+        gradient_fast(inst, 1e-3)
+        tracemalloc.start()
+        res = gradient_fast(inst, 1e-3)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert res.info["k1"] == 165
+    assert peaks[1] <= peaks[0] + 8 * 16384 * 8 * 4
