@@ -99,7 +99,7 @@ def _features(m: np.ndarray, cfg: PolyConfig) -> np.ndarray:
         psi.append(psi[-1] * mt * (1.0 / math.sqrt(e * cfg.d)))
     out = np.empty((cfg.m_feat, mt.shape[1]))
     out[0] = 1.0
-    # first row of each level, and its count of monomials before variable j
+    # start[l]: first row of level l; before[l][j]: its monomials in variables < j
     start, before, top = [0], [[1] * cfg.d], 1
     for level in range(1, cfg.g + 1):
         start.append(top)
