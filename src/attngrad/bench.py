@@ -70,6 +70,8 @@ def run_scaling_bench(
     sizes = sorted(int(n) for n in sizes)
     if len(set(sizes)) != len(sizes):
         raise ValueError("sizes must be distinct")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     runs = {m: {"seconds": [], "err": [], "failures": {}} for m in methods}
     for n in sizes:
         inst = random_instance(n, d, B, seed)

@@ -195,20 +195,17 @@ def _cmd_hardness(args) -> int:
         riemann_reduction
 
     hi = gen_hard_instance(args.n, args.d, args.B, args.frac_b, args.seed)
-    grid = np.linspace(0.0, 1.0, args.grid)
+    report = riemann_reduction(hi, args.m, args.grid, strict=False)
 
-    fprimes = np.array([f_lambda_derivative(hi, lam)[0] for lam in grid])
     bound = 8.0 * args.B * args.n
-    deriv_ok = bool(np.abs(fprimes).max() <= bound + 1e-9)
+    deriv_ok = bool(report.max_abs_fprime <= bound + 1e-9)
 
     step = 1e-5
     fd_errs = []
-    for lam, fp in zip(grid, fprimes):
+    for lam, fp in zip(report.lambda_grid, report.fprime_values):
         fd = (f_lambda(hi, lam + step) - f_lambda(hi, lam - step)) / (2 * step)
         fd_errs.append(float(abs(fd - fp) / (1.0 + abs(fp))))
     fd_ok = max(fd_errs) <= REL_TOL
-
-    report = riemann_reduction(hi, args.m, args.grid, strict=False)
 
     fhi, q, k = factorized_hard_instance(args.n, args.d, args.B, args.seed)
     red_errs = []
@@ -223,12 +220,12 @@ def _cmd_hardness(args) -> int:
         "tool_version": __version__, "command": "hardness",
         "n": args.n, "d": args.d, "B": args.B, "m": args.m,
         "seed": args.seed, "frac_B": args.frac_b, "grid_points": args.grid,
-        "derivative_bound": {"max_abs_fprime": float(np.abs(fprimes).max()),
+        "derivative_bound": {"max_abs_fprime": report.max_abs_fprime,
                              "bound_8Bn": bound, "pass": deriv_ok},
         "fd_match": {"max_rel_err": max(fd_errs), "tol": REL_TOL, "pass": fd_ok},
         "riemann": {"t_m": report.t_m, "f1_minus_f0": report.f1_minus_f0,
                     "bound_b": report.bound_b, "m": report.m,
-                    "max_abs_fsecond": report.max_abs_fsecond,
+                    "max_abs_fsecond": report.bound_b,
                     "pass": report.holds},
         "reduction_consistency": {"max_rel_err": max(red_errs), "tol": REL_TOL,
                                   "lambda_points": 11, "pass": red_ok},

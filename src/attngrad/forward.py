@@ -97,18 +97,14 @@ class AttentionInstance:
         return self.A1.shape[1]
 
 
-def compute_exp_matrix(
-    inst: AttentionInstance, x_override: np.ndarray | None = None,
-) -> np.ndarray:
+def compute_exp_matrix(inst: AttentionInstance) -> np.ndarray:
     """The n x n matrix exp(A1 X A2^T / d), entrywise and unshifted:
     the dense reference for ``softmax_blocks``.
 
-    With a valid instance every entry lies in [exp(-B**2), exp(B**2)].
-    ``x_override`` substitutes a different X without revalidating the
-    B bound, so the exponents are checked against the float64 exp range.
+    With a valid instance every entry lies in [exp(-B**2), exp(B**2)],
+    so a B**2 past ``EXP_LIMIT`` overflows float64 and is refused.
     """
-    x = inst.X if x_override is None else x_override
-    s = inst.A1 @ x @ inst.A2.T / inst.d
+    s = inst.A1 @ inst.X @ inst.A2.T / inst.d
     if s.size and s.max() > EXP_LIMIT:
         raise ValueError("entry magnitude exceeds float64 exp range")
     return np.exp(s)
@@ -227,6 +223,8 @@ def load_instance(in_dir) -> AttentionInstance:
     meta_path = os.path.join(in_dir, "meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
+    if "B" not in meta:
+        raise ValueError(f"{meta_path}: missing key 'B' (the entry bound)")
     mats = {name: read_matrix(os.path.join(in_dir, f"{name}.mat")) for name in _MATRIX_FILES}
     recorded = (meta.get("n"), meta.get("d"))
     if recorded != mats["A1"].shape:

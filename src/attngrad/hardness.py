@@ -76,14 +76,12 @@ class ReductionReport:
     """Grid data and checks for one Riemann-sum reduction run."""
 
     lambda_grid: np.ndarray
-    f_values: np.ndarray
     fprime_values: np.ndarray
     t_m: float
     f1_minus_f0: float
     bound_b: float
     m: int
     max_abs_fprime: float
-    max_abs_fsecond: float
     holds: bool
 
 
@@ -174,7 +172,6 @@ def riemann_reduction(
     with bound_b the grid maximum of |f''| (any valid bound works; the
     empirical grid max is what this artifact can certify)."""
     grid = np.linspace(0.0, 1.0, grid_points)
-    f_vals = np.array([f_lambda(hi, lam) for lam in grid])
     derivs = [f_lambda_derivative(hi, lam) for lam in grid]
     fprime_vals = np.array([fp for fp, _ in derivs])
     bound_b = float(max(abs(fs) for _, fs in derivs))
@@ -182,10 +179,9 @@ def riemann_reduction(
     delta = f_lambda(hi, 1.0) - f_lambda(hi, 0.0)
     holds = abs(t_m - delta) <= bound_b / m + 1e-12
     report = ReductionReport(
-        lambda_grid=grid, f_values=f_vals, fprime_values=fprime_vals,
-        t_m=t_m, f1_minus_f0=delta, bound_b=bound_b, m=m,
-        max_abs_fprime=float(np.abs(fprime_vals).max()),
-        max_abs_fsecond=bound_b, holds=holds,
+        lambda_grid=grid, fprime_values=fprime_vals, t_m=t_m,
+        f1_minus_f0=delta, bound_b=bound_b, m=m,
+        max_abs_fprime=float(np.abs(fprime_vals).max()), holds=holds,
     )
     if strict and not holds:
         raise ValueError(
@@ -224,13 +220,14 @@ def hard_attention_instance(
 
 
 def gradient_to_forward(inst: AttentionInstance, lam: float) -> float:
-    """Recover f'(lambda) from the loss gradient: with X = lambda d I,
-    Y = I, E = 0 one has f(lambda) = 2 L(X(lambda)) and hence
+    """Recover f'(lambda) from the loss gradient of an instance built by
+    ``hard_attention_instance`` at ``lam``: with X = lambda d I, Y = I,
+    E = 0 one has f(lambda) = 2 L(X(lambda)) and hence
     f'(lambda) = 2 d trace(dL/dX)."""
     if inst.E.any():
         raise ValueError("gradient_to_forward requires E = 0")
     if not np.array_equal(inst.Y, np.eye(inst.d)):
         raise ValueError("gradient_to_forward requires Y = I")
-    at_lam = hard_attention_instance(inst.A1, inst.A2, inst.A3, lam)
-    res = gradient_exact(at_lam)
-    return 2.0 * inst.d * float(np.trace(res.G))
+    if not np.array_equal(inst.X, lam * inst.d * np.eye(inst.d)):
+        raise ValueError(f"gradient_to_forward requires X = lambda d I at lambda = {lam:.6g}")
+    return 2.0 * inst.d * float(np.trace(gradient_exact(inst).G))

@@ -205,7 +205,6 @@ def gradient_fast(inst: AttentionInstance, eps: float) -> GradientResult:
         pa[b] = np.matmul(c[:, None, :], t)[:, 0] - (c * z).sum(axis=1)[:, None] * m
         sq += float((c * c).sum())
         del u, z, m, t          # free this block before the next one is built
-    k1 = cfg.m_feat
-    info = {"degree": cfg.g, "eps_prime": cfg.eps_prime, "effective_B": cfg.B, "k1": k1,
-            "k2": k1 + d, "k3": k1 * (k1 + d), "k4": k1, "loss": 0.5 * sq}
+    info = {"degree": cfg.g, "eps_prime": cfg.eps_prime, "effective_B": cfg.B,
+            "k1": cfg.m_feat, "loss": 0.5 * sq}
     return _result(inst.A1.T @ pa / d, "fast", t0, info)

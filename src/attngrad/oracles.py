@@ -40,8 +40,6 @@ class DiffReport:
 
     max_abs: float
     argmax_index: int
-    a_norm: float
-    b_norm: float
 
 
 def finite_diff_gradient(
@@ -123,9 +121,4 @@ def compare(a: GradientResult, b: GradientResult) -> DiffReport:
         raise ValueError(f"gradient lengths differ: {a.g.size} vs {b.g.size}")
     diff = np.abs(a.g - b.g)
     idx = int(np.argmax(diff)) if diff.size else 0
-    return DiffReport(
-        max_abs=float(diff[idx]) if diff.size else 0.0,
-        argmax_index=idx,
-        a_norm=float(np.abs(a.g).max()) if a.g.size else 0.0,
-        b_norm=float(np.abs(b.g).max()) if b.g.size else 0.0,
-    )
+    return DiffReport(max_abs=float(diff[idx]) if diff.size else 0.0, argmax_index=idx)

@@ -1,6 +1,8 @@
 """Forward attention: exp matrix, softmax normalization and its row
 blocks, value projection, loss, and the instance container."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -143,7 +145,7 @@ def test_shift_invariance():
     f0, _ = compute_softmax(compute_exp_matrix(inst))
     x_shift = x.copy()
     x_shift[2, 1] += 0.5
-    f1, _ = compute_softmax(compute_exp_matrix(inst, x_override=x_shift))
+    f1, _ = compute_softmax(compute_exp_matrix(dataclasses.replace(inst, X=x_shift)))
     assert np.abs(f1 - f0).max() <= 1e-10
 
 

@@ -1,6 +1,7 @@
 """Exact gradient chain: p, the closed form, and the derivatives of
 one softmax row."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -75,8 +76,9 @@ def test_gradient_matches_finite_differences(seed):
 
 
 def _row_quantities(inst, x):
-    """u, alpha, f for row j0=0 as functions of X (dense, oracle-side)."""
-    m = compute_exp_matrix(inst, x_override=x)
+    """u, alpha, f for row j0=0 as functions of X (dense, oracle-side).
+    The perturbed X may cross inst.B, so the copy carries a looser B."""
+    m = compute_exp_matrix(dataclasses.replace(inst, X=x, B=inst.B + 1.0))
     u = m[0]
     return u, u.sum(), u / u.sum()
 

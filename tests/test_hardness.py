@@ -194,3 +194,6 @@ def test_gradient_to_forward_requires_reduction_shape():
                      E=np.ones((8, 2)), X=inst.X, Y=inst.Y, B=inst.B)
     with pytest.raises(ValueError, match="E = 0"):
         gradient_to_forward(bad, 0.3)
+    # an instance built at lambda = 0.3 does not answer for lambda = 0.7
+    with pytest.raises(ValueError, match="X = lambda d I"):
+        gradient_to_forward(inst, 0.7)
