@@ -13,12 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
 from .forward import random_instance
 from .gradient import gradient_exact
 from .lowrank import gradient_fast
-
-BENCH_METHODS = ("exact", "fast")
 
 
 @dataclass
@@ -27,14 +24,9 @@ class BenchReport:
 
     method: str
     sizes: list
-    d: int
-    B: float
-    eps: float
     seconds: list
     max_err_vs_exact: list
     fitted_loglog_slope: float
-    seed: int
-    tool_version: str = __version__
     errors: dict = field(default_factory=dict)
 
 
@@ -59,49 +51,41 @@ def _median_time(fn, repeats: int):
 
 def run_scaling_bench(
     sizes, d: int, B: float, eps: float, repeats: int = 3, seed: int = 0,
-    methods=BENCH_METHODS,
 ) -> list[BenchReport]:
-    """Time each method on fresh random instances of the given sizes.
+    """Time the exact and then the fast path on a fresh random instance
+    of each size, and measure the fast path's error against the exact
+    gradient.
 
     A fast-path failure (rank cap at the given B) is recorded for that
     size and the run continues; failed sizes are excluded from the
     slope fit.
     """
     sizes = sorted(int(n) for n in sizes)
+    if not sizes:
+        raise ValueError("sizes must name at least one n")
     if len(set(sizes)) != len(sizes):
         raise ValueError("sizes must be distinct")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    runs = {m: {"seconds": [], "err": [], "failures": {}} for m in methods}
+    exact, fast = (BenchReport(method=m, sizes=sizes, seconds=[], max_err_vs_exact=[],
+                               fitted_loglog_slope=float("nan")) for m in ("exact", "fast"))
     for n in sizes:
         inst = random_instance(n, d, B, seed)
-        exact_g = None
-        if "exact" in methods:
-            secs, res = _median_time(lambda: gradient_exact(inst), repeats)
-            runs["exact"]["seconds"].append(secs)
-            runs["exact"]["err"].append(0.0)
-            exact_g = res.g
-        if "fast" in methods:
-            try:
-                secs, res = _median_time(lambda: gradient_fast(inst, eps), repeats)
-            except ValueError as exc:
-                runs["fast"]["failures"][n] = str(exc)
-                runs["fast"]["seconds"].append(float("nan"))
-                runs["fast"]["err"].append(float("nan"))
-            else:
-                if exact_g is None:
-                    exact_g = gradient_exact(inst).g
-                runs["fast"]["seconds"].append(secs)
-                runs["fast"]["err"].append(float(np.abs(res.g - exact_g).max()))
-    return [
-        BenchReport(
-            method=m, sizes=sizes, d=d, B=B, eps=eps,
-            seconds=runs[m]["seconds"], max_err_vs_exact=runs[m]["err"],
-            fitted_loglog_slope=fit_loglog_slope(sizes, runs[m]["seconds"]),
-            seed=seed, errors=runs[m]["failures"],
-        )
-        for m in methods
-    ]
+        secs, ref = _median_time(lambda: gradient_exact(inst), repeats)
+        exact.seconds.append(secs)
+        exact.max_err_vs_exact.append(0.0)
+        try:
+            secs, res = _median_time(lambda: gradient_fast(inst, eps), repeats)
+        except ValueError as exc:
+            fast.errors[n] = str(exc)
+            fast.seconds.append(float("nan"))
+            fast.max_err_vs_exact.append(float("nan"))
+        else:
+            fast.seconds.append(secs)
+            fast.max_err_vs_exact.append(float(np.abs(res.g - ref.g).max()))
+    for rep in (exact, fast):
+        rep.fitted_loglog_slope = fit_loglog_slope(sizes, rep.seconds)
+    return [exact, fast]
 
 
 def bench_csv_rows(reports: list[BenchReport]) -> list[str]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -63,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-2)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--methods", default="exact,fast")
     p.add_argument("--csv", default=None, help="also write rows to this CSV file")
 
     p = sub.add_parser("hardness", help="hardness-lab checks on generated instances")
@@ -130,28 +130,20 @@ def _cmd_verify(args) -> int:
     from .oracles import BRUTE_D_CAP, BRUTE_N_CAP, brute_kron_gradient, compare, \
         finite_diff_gradient
 
+    def check(name, a, b, tol):
+        diff = compare(a, b)
+        return {"name": name, "max_abs": diff, "tol": tol,
+                "status": "pass" if diff <= tol else "fail"}
+
     inst = load_instance(args.in_dir)
     exact = gradient_exact(inst)
-    checks = []
-
-    fd = finite_diff_gradient(inst, args.step)
-    diff = compare(exact, fd)
-    checks.append({"name": "exact_vs_fd", "max_abs": diff.max_abs,
-                   "tol": FD_TOL, "status": "pass" if diff.max_abs <= FD_TOL else "fail"})
-
+    checks = [check("exact_vs_fd", exact, finite_diff_gradient(inst, args.step), FD_TOL)]
     if inst.n <= BRUTE_N_CAP and inst.d <= BRUTE_D_CAP:
-        diff = compare(exact, brute_kron_gradient(inst))
-        checks.append({"name": "exact_vs_brute", "max_abs": diff.max_abs,
-                       "tol": BRUTE_TOL,
-                       "status": "pass" if diff.max_abs <= BRUTE_TOL else "fail"})
+        checks.append(check("exact_vs_brute", exact, brute_kron_gradient(inst), BRUTE_TOL))
     else:
         checks.append({"name": "exact_vs_brute", "status": "skipped",
                        "reason": f"brute oracle capped at n<={BRUTE_N_CAP}, d<={BRUTE_D_CAP}"})
-
-    diff = compare(gradient_fast(inst, args.eps), exact)
-    checks.append({"name": "fast_vs_exact", "max_abs": diff.max_abs,
-                   "tol": args.eps,
-                   "status": "pass" if diff.max_abs <= args.eps else "fail"})
+    checks.append(check("fast_vs_exact", gradient_fast(inst, args.eps), exact, args.eps))
 
     ok = all(c["status"] != "fail" for c in checks)
     _emit({"tool_version": __version__, "command": "verify", "in": args.in_dir,
@@ -160,13 +152,16 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _json_float(v: float):
+    """A float for a strict JSON report: nan and inf become null."""
+    return v if math.isfinite(v) else None
+
+
 def _cmd_bench(args) -> int:
     from .bench import bench_csv_rows, run_scaling_bench
 
     sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    methods = tuple(tok for tok in args.methods.split(",") if tok)
-    reports = run_scaling_bench(sizes, args.d, args.B, args.eps,
-                                args.repeats, args.seed, methods)
+    reports = run_scaling_bench(sizes, args.d, args.B, args.eps, args.repeats, args.seed)
     rows = bench_csv_rows(reports)
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -176,9 +171,10 @@ def _cmd_bench(args) -> int:
         "sizes": sizes, "d": args.d, "B": args.B, "eps": args.eps,
         "repeats": args.repeats, "seed": args.seed,
         "reports": [
-            {"method": r.method, "sizes": r.sizes, "seconds": r.seconds,
-             "max_err_vs_exact": r.max_err_vs_exact,
-             "fitted_loglog_slope": r.fitted_loglog_slope,
+            {"method": r.method, "sizes": r.sizes,
+             "seconds": [_json_float(v) for v in r.seconds],
+             "max_err_vs_exact": [_json_float(v) for v in r.max_err_vs_exact],
+             "fitted_loglog_slope": _json_float(r.fitted_loglog_slope),
              "errors": r.errors}
             for r in reports
         ],
@@ -224,7 +220,7 @@ def _cmd_hardness(args) -> int:
                              "bound_8Bn": bound, "pass": deriv_ok},
         "fd_match": {"max_rel_err": max(fd_errs), "tol": REL_TOL, "pass": fd_ok},
         "riemann": {"t_m": report.t_m, "f1_minus_f0": report.f1_minus_f0,
-                    "bound_b": report.bound_b, "m": report.m,
+                    "bound_b": report.bound_b, "m": args.m,
                     "max_abs_fsecond": report.bound_b,
                     "pass": report.holds},
         "reduction_consistency": {"max_rel_err": max(red_errs), "tol": REL_TOL,

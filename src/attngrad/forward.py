@@ -124,15 +124,6 @@ def compute_softmax(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m / alpha[:, None], alpha
 
 
-def compute_h(a3: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Value projection h = A3 Y; column i0 is A3 @ Y[:, i0]."""
-    a3 = np.asarray(a3, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if a3.shape[1] != y.shape[0]:
-        raise ValueError(f"compute_h: inner dimensions {a3.shape} x {y.shape}")
-    return a3 @ y
-
-
 def softmax_blocks(inst: AttentionInstance, x: np.ndarray | None = None):
     """Yield ``(rows, f[rows])`` over consecutive row slices of the
     softmax matrix f(X), ``max(1, BLOCK_ENTRIES // n)`` rows at a time.
@@ -159,7 +150,7 @@ def forward(
     inst: AttentionInstance, x_override: np.ndarray | None = None,
 ) -> np.ndarray:
     """One attention layer: f(X) @ h(Y), an n x d matrix."""
-    h = compute_h(inst.A3, inst.Y)
+    h = inst.A3 @ inst.Y
     out = np.empty((inst.n, inst.d))
     for rows, f in softmax_blocks(inst, x_override):
         out[rows] = f @ h
@@ -183,6 +174,8 @@ def random_instance(
 
     B = 0 forces X = 0 and A2 = 0. Deterministic under ``seed``.
     """
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be positive")
     rng = np.random.default_rng(seed)
     a1 = rng.uniform(-1.0, 1.0, (n, d))
     a2 = rng.uniform(-1.0, 1.0, (n, d))
@@ -225,9 +218,13 @@ def load_instance(in_dir) -> AttentionInstance:
         meta = json.load(fh)
     if "B" not in meta:
         raise ValueError(f"{meta_path}: missing key 'B' (the entry bound)")
+    try:
+        bound = float(meta["B"])
+    except (TypeError, ValueError):
+        raise ValueError(f"{meta_path}: key 'B' must be a number, got {meta['B']!r}") from None
     mats = {name: read_matrix(os.path.join(in_dir, f"{name}.mat")) for name in _MATRIX_FILES}
     recorded = (meta.get("n"), meta.get("d"))
     if recorded != mats["A1"].shape:
         raise ValueError(f"{meta_path}: records n, d = {recorded} but A1.mat "
                          f"has shape {mats['A1'].shape}")
-    return AttentionInstance(B=float(meta["B"]), **mats)
+    return AttentionInstance(B=bound, **mats)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import check_finite, vec
-from .forward import AttentionInstance, compute_h, softmax_blocks
+from .forward import AttentionInstance, softmax_blocks
 
 
 @dataclass
@@ -62,7 +62,7 @@ def compute_p(f: np.ndarray, q: np.ndarray) -> np.ndarray:
 def gradient_exact(inst: AttentionInstance) -> GradientResult:
     """Exact gradient (1/d) vec(A1^T p A2) via the row-blocked c/q/p chain."""
     t0 = time.perf_counter()
-    h = compute_h(inst.A3, inst.Y)
+    h = inst.A3 @ inst.Y
     G = np.zeros((inst.d, inst.d))
     for rows, f in softmax_blocks(inst):
         c = f @ h - inst.E[rows]

@@ -62,14 +62,6 @@ class HardInstance:
         if not np.isin(self.V, (0.0, 1.0)).all():
             raise ValueError("V entries must be 0 or 1")
 
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.V.shape[1]
-
 
 @dataclass
 class ReductionReport:
@@ -80,7 +72,6 @@ class ReductionReport:
     t_m: float
     f1_minus_f0: float
     bound_b: float
-    m: int
     max_abs_fprime: float
     holds: bool
 
@@ -171,6 +162,8 @@ def riemann_reduction(
     derivative samples and check |t_m - (f(1) - f(0))| <= bound_b / m,
     with bound_b the grid maximum of |f''| (any valid bound works; the
     empirical grid max is what this artifact can certify)."""
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     grid = np.linspace(0.0, 1.0, grid_points)
     derivs = [f_lambda_derivative(hi, lam) for lam in grid]
     fprime_vals = np.array([fp for fp, _ in derivs])
@@ -180,7 +173,7 @@ def riemann_reduction(
     holds = abs(t_m - delta) <= bound_b / m + 1e-12
     report = ReductionReport(
         lambda_grid=grid, fprime_values=fprime_vals, t_m=t_m,
-        f1_minus_f0=delta, bound_b=bound_b, m=m,
+        f1_minus_f0=delta, bound_b=bound_b,
         max_abs_fprime=float(np.abs(fprime_vals).max()), holds=holds,
     )
     if strict and not holds:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import AttentionInstance, compute_h
+from .forward import AttentionInstance
 from .gradient import GradientResult, _result
 
 # largest feature count C(d+g, g) that select_degree accepts
@@ -187,7 +187,7 @@ def gradient_fast(inst: AttentionInstance, eps: float) -> GradientResult:
     t0 = time.perf_counter()
     cfg = _poly_config(inst, eps)
     n, d, w = inst.n, inst.d, inst.d + 1
-    hh = np.hstack([np.ones((n, 1)), compute_h(inst.A3, inst.Y)])
+    hh = np.hstack([np.ones((n, 1)), inst.A3 @ inst.Y])
     aa = np.hstack([np.ones((n, 1)), inst.A2])
     step = max(1, FEATURE_ENTRIES // (cfg.m_feat + w * w))
     blocks = [slice(start, start + step) for start in range(0, n, step)]

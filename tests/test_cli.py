@@ -123,10 +123,12 @@ def test_verify_meta_without_bound_exits_one(capsys, tmp_path):
     path = out / "meta.json"
     meta = json.loads(path.read_text())
     del meta["B"]
-    path.write_text(json.dumps(meta))
-    code, _, stderr = run_cli(capsys, "verify", "--in", str(out))
-    assert code == 1
-    assert "meta.json" in stderr and "'B'" in stderr
+    for bad in ({}, {"B": None}, {"B": "abc"}):    # missing, null, not a number
+        path.write_text(json.dumps({**meta, **bad}))
+        code, _, stderr = run_cli(capsys, "verify", "--in", str(out))
+        assert code == 1
+        assert "meta.json" in stderr and "'B'" in stderr
+        assert not bad or f"got {bad['B']!r}" in stderr
 
 
 def test_bench_report_and_csv(capsys, tmp_path):
@@ -149,6 +151,36 @@ def test_bench_report_and_csv(capsys, tmp_path):
                               "--B", "0.5", "--eps", "1e-3", "--repeats", "2")
     rerun = {r["method"]: r for r in json.loads(stdout)["reports"]}
     assert rerun["fast"]["max_err_vs_exact"] == methods["fast"]["max_err_vs_exact"]
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--sizes", "64", "--repeats", "1"),
+    ("--sizes", "16,32", "--d", "2", "--B", "20", "--eps", "1e-6", "--repeats", "1"),
+], ids=["one-size", "fast-refused"])
+def test_bench_report_is_strict_json(capsys, argv):
+    code, stdout, _ = run_cli(capsys, "bench", *argv)
+    assert code == 0
+    fast = json.loads(stdout, parse_constant=_refuse_constant)["reports"][1]
+    assert fast["method"] == "fast" and fast["fitted_loglog_slope"] is None
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gen", "--n", "0", "--d", "2", "--B", "0.5"), "n and d must be positive"),
+    (("gen", "--n", "4", "--d", "0", "--B", "0.5"), "n and d must be positive"),
+    (("bench", "--sizes", "0"), "n and d must be positive"),
+    (("bench", "--sizes", ","), "sizes must name at least one n"),
+    (("hardness", "--grid", "0"), "grid_points must be at least 1"),
+], ids=["gen-n", "gen-d", "bench-size-0", "bench-no-sizes", "hardness-grid"])
+def test_empty_inputs_exit_one(capsys, tmp_path, argv, message):
+    if argv[0] == "gen":
+        argv += ("--out", str(tmp_path / "inst"))
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert message in stderr
 
 
 def test_bench_zero_repeats_exits_one(capsys):

@@ -10,7 +10,6 @@ import attngrad.forward as forward_module
 from attngrad.forward import (
     AttentionInstance,
     compute_exp_matrix,
-    compute_h,
     compute_softmax,
     forward,
     load_instance,
@@ -77,21 +76,6 @@ def test_softmax_rejects_nonpositive():
         compute_softmax(np.zeros((2, 2)))
 
 
-def test_h_identity_y():
-    rng = np.random.default_rng(2)
-    a3 = rng.standard_normal((5, 3))
-    assert np.array_equal(compute_h(a3, np.eye(3)), a3)
-
-
-def test_h_columnwise():
-    rng = np.random.default_rng(3)
-    a3 = rng.standard_normal((4, 2))
-    y = rng.standard_normal((2, 2))
-    h = compute_h(a3, y)
-    for i0 in range(2):
-        assert np.abs(h[:, i0] - a3 @ y[:, i0]).max() <= 1e-14
-
-
 def test_forward_uniform_averages_rows():
     inst = random_instance(8, 3, 0.0, seed=4)
     inst = AttentionInstance(A1=inst.A1, A2=inst.A2, A3=inst.A3,
@@ -105,7 +89,7 @@ def test_forward_rowwise_oracle():
     inst = random_instance(5, 2, 1.0, seed=5)
     m = compute_exp_matrix(inst)
     _, alpha = compute_softmax(m)
-    h = compute_h(inst.A3, inst.Y)
+    h = inst.A3 @ inst.Y
     out = forward(inst)
     for j in range(5):
         row = sum(m[j, k] * h[k] for k in range(5)) / alpha[j]
@@ -194,7 +178,7 @@ def test_instance_validates_shapes_and_finiteness():
 def test_block_boundaries_match_dense_reference(monkeypatch):
     inst = random_instance(3, 2, 0.9, seed=9)
     f, _ = compute_softmax(compute_exp_matrix(inst))
-    h = compute_h(inst.A3, inst.Y)
+    h = inst.A3 @ inst.Y
     c = f @ h - inst.E
     dense_G = inst.A1.T @ compute_p(f, c @ h.T) @ inst.A2 / inst.d
     brute_G = brute_kron_gradient(inst).G

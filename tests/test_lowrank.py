@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from attngrad import lowrank
-from attngrad.forward import AttentionInstance, compute_h, compute_softmax, \
-    compute_exp_matrix, loss, random_instance
+from attngrad.forward import AttentionInstance, compute_exp_matrix, compute_softmax, \
+    loss, random_instance
 from attngrad.gradient import gradient_exact
 from attngrad.lowrank import (
     PolyConfig,
@@ -141,7 +141,7 @@ def build_chain(inst, eps):
     """Softmax factors from the production path, then the explicit
     lemma chain on top of them."""
     u1, v1, _ = lowrank_softmax_factors(inst, eps)
-    h = compute_h(inst.A3, inst.Y)
+    h = inst.A3 @ inst.Y
     return factor_chain(u1, v1, h, inst.E), h
 
 
@@ -153,7 +153,7 @@ def product(pair):
 def test_q_factors_shapes_and_exact_fit():
     inst = random_instance(24, 3, 0.7, seed=3)
     u1, v1, _ = lowrank_softmax_factors(inst, 1e-4)
-    h = compute_h(inst.A3, inst.Y)
+    h = inst.A3 @ inst.Y
     e_fit = u1 @ (v1.T @ h)
     u2, v2 = factor_chain(u1, v1, h, e_fit)["q"]
     assert u2.shape[1] == v2.shape[1] == u1.shape[1] + inst.d
