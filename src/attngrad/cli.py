@@ -27,6 +27,17 @@ BRUTE_TOL = 1e-10
 REL_TOL = 1e-4
 
 
+def _thread_count(text: str) -> int:
+    """argparse type for --threads: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="attngrad",
@@ -34,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verification oracles, and hardness-lab checks",
     )
     parser.add_argument("--version", action="version", version=f"attngrad {__version__}")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_thread_count, default=None,
                         help="pin BLAS/OpenMP thread count (1 = bitwise reproducible)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -160,7 +171,12 @@ def _json_float(v: float):
 def _cmd_bench(args) -> int:
     from .bench import bench_csv_rows, run_scaling_bench
 
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    sizes = []
+    for tok in filter(None, args.sizes.split(",")):
+        try:
+            sizes.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--sizes must be comma-separated integers, got {tok!r}") from None
     reports = run_scaling_bench(sizes, args.d, args.B, args.eps, args.repeats, args.seed)
     rows = bench_csv_rows(reports)
     if args.csv:

@@ -9,11 +9,13 @@ and square weights X, Y (d x d), the forward map is
 and the training objective is L(X) = 0.5 * ||f(X) h(Y) - E||_F^2.
 
 The production softmax, ``softmax_blocks``, streams f in row blocks of
-at most ``BLOCK_ENTRIES`` entries and subtracts each row's maximum
-before exp, so every exponent is at most 0, every row sum lies in
-[1, n], and any entry bound B >= 0 is computable in O(n d +
-BLOCK_ENTRIES) memory. ``compute_exp_matrix`` and ``compute_softmax``
-build the dense, unshifted matrices as the reference the tests and the
+at most ``BLOCK_ENTRIES`` entries, unnormalized: each block is
+e = exp(scores - row max) with its row sums alpha, so f = e / alpha,
+every exponent is at most 0, every alpha lies in [1, n], and any entry
+bound B >= 0 is computable in O(n d + BLOCK_ENTRIES) memory. All
+blocks share one buffer. ``forward`` writes (e h) / alpha and never
+normalizes e. ``compute_exp_matrix`` and ``compute_softmax`` build the
+dense, unshifted matrices as the reference the tests and the
 brute-force oracle use.
 """
 
@@ -30,8 +32,8 @@ from .core import check_finite, read_matrix, write_matrix
 # exp(x) overflows float64 just above x = 709.78
 EXP_LIMIT = 709.0
 
-# entries of f held at once by softmax_blocks (512 KB of float64);
-# chosen by speed at n = 1024..8192, where 1 << 20 was slower
+# entries of the score block softmax_blocks reuses (512 KB of float64);
+# chosen by speed at n = 1024..8192, where 1 << 15 and 1 << 17 were slower
 BLOCK_ENTRIES = 1 << 16
 
 # slack for the B-bound checks: instances generated by rescaling sit
@@ -125,25 +127,27 @@ def compute_softmax(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def softmax_blocks(inst: AttentionInstance, x: np.ndarray | None = None):
-    """Yield ``(rows, f[rows])`` over consecutive row slices of the
-    softmax matrix f(X), ``max(1, BLOCK_ENTRIES // n)`` rows at a time.
+    """Yield ``(rows, e, alpha)`` over consecutive row slices of the
+    softmax matrix f(X), ``max(1, BLOCK_ENTRIES // n)`` rows at a time,
+    with ``f[rows] = e / alpha``.
 
-    Each block is (A1 X)[rows] A2^T / d minus its row maxima,
-    exponentiated and divided by its row sums in place. ``x``
+    ``e`` is exp((A1 X / d)[rows] A2^T) shifted by its row maxima, so
+    every row of ``e`` has maximum 1 and ``alpha``, its row sums as a
+    column, lies in [1, n]. ``e`` is a view of one buffer that the next
+    block overwrites: use it before advancing the generator. ``x``
     substitutes a different X without revalidating the B bound; the
     shift keeps every exponent at most 0 whatever its size.
     """
     n = inst.n
-    a1x = inst.A1 @ (inst.X if x is None else x)
+    a1x = inst.A1 @ (inst.X if x is None else x) / inst.d
     step = max(1, BLOCK_ENTRIES // n)
+    buf = np.empty((min(step, n), n))
     for start in range(0, n, step):
-        rows = slice(start, start + step)
-        f = a1x[rows] @ inst.A2.T
-        f /= inst.d
-        f -= f.max(axis=1, keepdims=True)
-        np.exp(f, out=f)
-        f /= f.sum(axis=1, keepdims=True)
-        yield rows, f
+        rows = slice(start, min(start + step, n))
+        e = np.matmul(a1x[rows], inst.A2.T, out=buf[:rows.stop - start])
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        yield rows, e, e.sum(axis=1, keepdims=True)
 
 
 def forward(
@@ -152,8 +156,8 @@ def forward(
     """One attention layer: f(X) @ h(Y), an n x d matrix."""
     h = inst.A3 @ inst.Y
     out = np.empty((inst.n, inst.d))
-    for rows, f in softmax_blocks(inst, x_override):
-        out[rows] = f @ h
+    for rows, e, alpha in softmax_blocks(inst, x_override):
+        out[rows] = (e @ h) / alpha
     return out
 
 

@@ -7,12 +7,23 @@ The chain is
     p_j = f_j * q_j - <f_j, q_j> f_j        (row j of p, in O(n))
     dL/dx = (1/d) vec(A1^T p A2)            (length d**2)
 
-evaluated one row block of ``forward.softmax_blocks`` at a time: each
-block J forms c_J, q_J and p_J and adds A1_J^T (p_J A2) to the sum, so
-the cost is O(n**2 d) time and O(n d + BLOCK_ENTRIES) memory, and the
-d**2-wide lift A1 (x) A2 is never materialized. Its independent
-references are the finite-difference and brute-force oracles in
-``oracles``.
+``compute_p`` is this formula for p as written. ``gradient_exact``
+applies it fused, one row block J of ``forward.softmax_blocks`` at a
+time, on the unnormalized block e_J with row sums alpha_J
+(f_J = e_J / alpha_J), never forming f_J or f * q:
+
+    z = (e h) / alpha                       (f h, as ``forward`` writes it)
+    c = z - E_J
+    s_j = <f_j, q_j> = c_j . z_j            (n x d work, not n x n)
+    q - s = [c | -s] [h | 1]^T              (one GEMM with k = d + 1)
+    G += A1_J^T ((((q - s) * e) A2) / alpha)
+
+Per block that is four skinny GEMMs (scores, e h, q - s, p A2) plus the
+shift, exp and multiply passes over the block, so the cost is
+O(n**2 d) time and O(n d + BLOCK_ENTRIES) memory: the score block and
+one q block, each reused for every block. The d**2-wide lift
+A1 (x) A2 is never materialized. Its independent references are the
+finite-difference and brute-force oracles in ``oracles``.
 """
 
 from __future__ import annotations
@@ -49,7 +60,8 @@ def compute_p(f: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Apply the softmax Jacobian rowwise:
     p[j] = (diag(f_j) - f_j f_j^T) q_j = f_j * (q_j - <f_j, q_j>).
 
-    Each row of the result sums to zero analytically.
+    This is the reference formula that ``gradient_exact`` applies in
+    fused form. Each row of the result sums to zero analytically.
     """
     f = np.asarray(f, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -60,11 +72,20 @@ def compute_p(f: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def gradient_exact(inst: AttentionInstance) -> GradientResult:
-    """Exact gradient (1/d) vec(A1^T p A2) via the row-blocked c/q/p chain."""
+    """Exact gradient (1/d) vec(A1^T p A2), ``compute_p`` fused over the
+    unnormalized row blocks of ``softmax_blocks``."""
     t0 = time.perf_counter()
     h = inst.A3 @ inst.Y
+    h1 = np.column_stack((h, np.ones(inst.n)))
     G = np.zeros((inst.d, inst.d))
-    for rows, f in softmax_blocks(inst):
-        c = f @ h - inst.E[rows]
-        G += inst.A1[rows].T @ (compute_p(f, c @ h.T) @ inst.A2)
+    qbuf = None
+    for rows, e, alpha in softmax_blocks(inst):
+        if qbuf is None:   # the first block is the largest
+            qbuf = np.empty_like(e)
+        z = (e @ h) / alpha
+        c = z - inst.E[rows]
+        cs = np.column_stack((c, -(c * z).sum(axis=1)))
+        q = np.matmul(cs, h1.T, out=qbuf[:len(e)])
+        q *= e
+        G += inst.A1[rows].T @ ((q @ inst.A2) / alpha)
     return _result(G / inst.d, "exact", t0)

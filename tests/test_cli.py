@@ -173,8 +173,10 @@ def test_bench_report_is_strict_json(capsys, argv):
     (("gen", "--n", "4", "--d", "0", "--B", "0.5"), "n and d must be positive"),
     (("bench", "--sizes", "0"), "n and d must be positive"),
     (("bench", "--sizes", ","), "sizes must name at least one n"),
+    (("bench", "--sizes", "64,abc"), "--sizes must be comma-separated integers, got 'abc'"),
     (("hardness", "--grid", "0"), "grid_points must be at least 1"),
-], ids=["gen-n", "gen-d", "bench-size-0", "bench-no-sizes", "hardness-grid"])
+], ids=["gen-n", "gen-d", "bench-size-0", "bench-no-sizes", "bench-size-text",
+        "hardness-grid"])
 def test_empty_inputs_exit_one(capsys, tmp_path, argv, message):
     if argv[0] == "gen":
         argv += ("--out", str(tmp_path / "inst"))
@@ -212,6 +214,16 @@ def test_threads_flag_smoke(capsys, tmp_path):
     code, stdout, _ = run_cli(capsys, "--threads", "1", "grad", "--in", str(out))
     assert code == 0
     assert json.loads(stdout)["method"] == "exact"
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_threads_below_one_usage_error(capsys, tmp_path, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", count, "gen", "--n", "4", "--d", "2", "--B", "0.5",
+              "--out", str(tmp_path / "inst")])
+    assert exc.value.code == 2
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "inst").exists()
 
 
 def test_threads_pinned_before_numpy_loads(tmp_path):

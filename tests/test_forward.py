@@ -191,6 +191,26 @@ def test_block_boundaries_match_dense_reference(monkeypatch):
         assert np.abs(G - brute_G).max() <= 1e-10
 
 
+def test_softmax_blocks_yield_unnormalized_rows(monkeypatch):
+    # n = 50 in blocks of 7 rows, the last one ragged (1 row)
+    inst = random_instance(50, 3, 0.9, seed=13)
+    f, _ = compute_softmax(compute_exp_matrix(inst))
+    h = inst.A3 @ inst.Y
+    c = f @ h - inst.E
+    dense_G = inst.A1.T @ compute_p(f, c @ h.T) @ inst.A2 / inst.d
+    monkeypatch.setattr(forward_module, "BLOCK_ENTRIES", 7 * inst.n)
+    sizes = []
+    for rows, e, alpha in forward_module.softmax_blocks(inst):
+        sizes.append(len(e))
+        assert np.all(e.max(axis=1) == 1.0)
+        assert alpha.shape == (len(e), 1)
+        assert np.all((alpha >= 1.0) & (alpha <= inst.n))
+        assert np.abs(e / alpha - f[rows]).max() <= 1e-15
+    assert sizes == [7] * 7 + [1]
+    assert np.abs(forward(inst) - f @ h).max() <= 1e-14
+    assert np.abs(gradient_exact(inst).G - dense_G).max() <= 1e-14
+
+
 def test_row_sum_overflow_instance_is_exact():
     # every exponent is 708.9, inside the float64 exp range, but four of
     # them overflow an unshifted row sum; the max shift makes f uniform,
