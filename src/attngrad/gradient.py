@@ -7,23 +7,23 @@ The chain is
     p_j = f_j * q_j - <f_j, q_j> f_j        (row j of p, in O(n))
     dL/dx = (1/d) vec(A1^T p A2)            (length d**2)
 
-``compute_p`` is this formula for p as written. ``gradient_exact``
-applies it fused, one row block J of ``forward.softmax_blocks`` at a
-time, on the unnormalized block e_J with row sums alpha_J
-(f_J = e_J / alpha_J), never forming f_J or f * q:
+``compute_p`` is this formula as written, kept as the reference.
+``gradient_exact`` applies it fused over the unnormalized row blocks
+(e, alpha) of ``forward.softmax_blocks``, f_J = e / alpha, and never
+forms f or f * q:
 
     z = (e h) / alpha                       (f h, as ``forward`` writes it)
     c = z - E_J
     s_j = <f_j, q_j> = c_j . z_j            (n x d work, not n x n)
     q - s = [c | -s] [h | 1]^T              (one GEMM with k = d + 1)
-    G += A1_J^T ((((q - s) * e) A2) / alpha)
+    G += A1_J^T (((q - s) * e) A2 / alpha)
 
-Per block that is four skinny GEMMs (scores, e h, q - s, p A2) plus the
-shift, exp and multiply passes over the block, so the cost is
-O(n**2 d) time and O(n d + BLOCK_ENTRIES) memory: the score block and
-one q block, each reused for every block. The d**2-wide lift
-A1 (x) A2 is never materialized. Its independent references are the
-finite-difference and brute-force oracles in ``oracles``.
+That is four skinny GEMMs (scores, e h, q - s, p A2) plus the shift,
+exp and multiply passes per block: O(n**2 d) time and O(n d +
+BLOCK_ENTRIES) memory in two reused block buffers, scores and q. The
+d**2-wide lift A1 (x) A2 is never materialized. Its independent
+references are the finite-difference and brute-force oracles in
+``oracles``.
 """
 
 from __future__ import annotations
