@@ -67,6 +67,8 @@ def run_scaling_bench(
         raise ValueError("sizes must be distinct")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
     exact, fast = (BenchReport(method=m, sizes=sizes, seconds=[], max_err_vs_exact=[],
                                fitted_loglog_slope=float("nan")) for m in ("exact", "fast"))
     for n in sizes:

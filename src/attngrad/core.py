@@ -107,30 +107,27 @@ def read_matrix(path) -> np.ndarray:
         lines = fh.readlines()
     if not lines:
         raise ValueError(f"{path}:1: empty file, expected 'rows cols' header")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"{path}:1: malformed header {lines[0]!r}, expected 'rows cols'")
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = map(int, lines[0].split())
     except ValueError:
         raise ValueError(f"{path}:1: malformed header {lines[0]!r}, expected 'rows cols'") from None
     if rows <= 0 or cols <= 0:
         raise ValueError(f"{path}:1: dimensions must be positive, got {rows} {cols}")
-    values = np.empty(rows * cols)
-    count = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        for tok in line.split():
-            try:
-                x = float(tok)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: invalid value {tok!r}") from None
-            if not np.isfinite(x):
-                raise ValueError(f"{path}:{lineno}: non-finite value {tok!r}")
-            if count >= rows * cols:
-                count += 1
-                continue
-            values[count] = x
-            count += 1
-    if count != rows * cols:
-        raise ValueError(f"{path}: expected {rows * cols} values, found {count}")
+    try:
+        values = np.array("".join(lines[1:]).split(), dtype=np.float64)
+        bad = not np.isfinite(values).all()
+    except ValueError:
+        bad = True
+    if bad:
+        # numpy parses each token with float(); rescan to name the first bad one
+        for lineno, line in enumerate(lines[1:], start=2):
+            for tok in line.split():
+                try:
+                    x = float(tok)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: invalid value {tok!r}") from None
+                if not np.isfinite(x):
+                    raise ValueError(f"{path}:{lineno}: non-finite value {tok!r}")
+    if values.size != rows * cols:
+        raise ValueError(f"{path}: expected {rows * cols} values, found {values.size}")
     return values.reshape(rows, cols)

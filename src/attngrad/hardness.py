@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -97,37 +98,35 @@ def gen_hard_instance(
 
 
 def _row_terms(hi: HardInstance, lam: float):
-    """Per-row rescaled exponential sums and their lambda-derivatives.
+    """Per-row rescaled exponential sums, one moment at a time.
 
-    Returns (s0, s1, s2, t0, t1, t2, shift): s_k[i, l] is
+    Yields (s_k, t_k, shift) for k = 0, 1, 2, ...: s_k[i, l] is
     sum_{j in S_l} A[i,j]**k * exp(lam*A[i,j] - shift[i]) and t_k[i]
     the same sum over all j. The common factor exp(shift) cancels in
-    every quotient used below.
+    every quotient used below. Each further moment costs an n x n
+    multiply, so callers draw only the moments they use.
     """
-    # one n x n buffer, scaled by A in place between the three sums
+    # one n x n buffer, scaled by A in place between moments
     w = lam * hi.A
     shift = w.max(axis=1)
     w -= shift[:, None]
     np.exp(w, out=w)
-    s0, t0 = w @ hi.V, w.sum(1)
-    w *= hi.A
-    s1, t1 = w @ hi.V, w.sum(1)
-    w *= hi.A
-    s2, t2 = w @ hi.V, w.sum(1)
-    return s0, s1, s2, t0, t1, t2, shift
+    while True:
+        yield w @ hi.V, w.sum(1), shift
+        w *= hi.A
 
 
 def f_lambda(hi: HardInstance, lam: float) -> float:
     """f(lambda) = sum_i sum_l (s_l(i) / t(i))**2, the squared Frobenius
     norm of the row-normalized exp(lambda A) times V."""
-    s0, _, _, t0, _, _, _ = _row_terms(hi, lam)
+    s0, t0, _ = next(_row_terms(hi, lam))
     return float(((s0 / t0[:, None]) ** 2).sum())
 
 
 def f_lambda_derivative(hi: HardInstance, lam: float) -> tuple[float, float]:
     """Analytic (f'(lambda), f''(lambda)) by the quotient rule on the
     per-row sums a_i = sum_l s_l**2 and b_i = t**2."""
-    s0, s1, s2, t0, t1, t2, _ = _row_terms(hi, lam)
+    (s0, t0, _), (s1, t1, _), (s2, t2, _) = islice(_row_terms(hi, lam), 3)
     a = (s0 * s0).sum(1)
     ap = 2.0 * (s0 * s1).sum(1)
     app = 2.0 * (s1 * s1 + s0 * s2).sum(1)
@@ -144,7 +143,7 @@ def row_denominators(hi: HardInstance, lam: float) -> np.ndarray:
     """log b(lambda, i), b = (sum_k exp(lambda A[i,k]))**2, finite for
     any lambda B; with at least half of each row equal to B, b sits
     between (n/2)**2 exp(2 B lambda) and n**2 exp(2 B lambda)."""
-    _, _, _, t0, _, _, shift = _row_terms(hi, lam)
+    _, t0, shift = next(_row_terms(hi, lam))
     return 2.0 * (shift + np.log(t0))
 
 
@@ -164,15 +163,16 @@ def riemann_reduction(
     empirical grid max is what this artifact can certify)."""
     if grid_points < 1:
         raise ValueError(f"grid_points must be at least 1, got {grid_points}")
-    grid = np.linspace(0.0, 1.0, grid_points)
-    derivs = [f_lambda_derivative(hi, lam) for lam in grid]
-    fprime_vals = np.array([fp for fp, _ in derivs])
-    bound_b = float(max(abs(fs) for _, fs in derivs))
-    t_m = riemann_sum(lambda lam: f_lambda_derivative(hi, lam)[0], m)
+    # exact quotients, so a Riemann node i / m on the grid is the same float
+    grid = [i / max(grid_points - 1, 1) for i in range(grid_points)]
+    derivs = {lam: f_lambda_derivative(hi, lam) for lam in grid}
+    fprime_vals = np.array([fp for fp, _ in derivs.values()])
+    bound_b = float(max(abs(fs) for _, fs in derivs.values()))
+    t_m = riemann_sum(lambda lam: (derivs.get(lam) or f_lambda_derivative(hi, lam))[0], m)
     delta = f_lambda(hi, 1.0) - f_lambda(hi, 0.0)
     holds = abs(t_m - delta) <= bound_b / m + 1e-12
     report = ReductionReport(
-        lambda_grid=grid, fprime_values=fprime_vals, t_m=t_m,
+        lambda_grid=np.array(grid), fprime_values=fprime_vals, t_m=t_m,
         f1_minus_f0=delta, bound_b=bound_b,
         max_abs_fprime=float(np.abs(fprime_vals).max()), holds=holds,
     )

@@ -138,8 +138,8 @@ def effective_bound(inst: AttentionInstance) -> float:
 
 def _poly_config(inst: AttentionInstance, eps: float) -> PolyConfig:
     """Degree and rank of the fast path for ``inst`` at gradient tolerance eps."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
     b_eff = effective_bound(inst)
     eps_prime = default_eps_prime(eps, b_eff, inst.d)
     if eps_prime == 0.0:

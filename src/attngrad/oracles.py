@@ -38,8 +38,8 @@ def finite_diff_gradient(
     """Central-difference gradient: (L(X + s E_i) - L(X - s E_i)) / 2s
     for each of the d**2 coordinates of X (row-major order, matching
     ``vec``)."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step}")
     t0 = time.perf_counter()
     d = inst.d
     g = np.empty(d * d)

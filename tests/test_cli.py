@@ -168,6 +168,22 @@ def test_bench_report_is_strict_json(capsys, argv):
     assert fast["method"] == "fast" and fast["fitted_loglog_slope"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ("grad", "--method", "exact"),
+    ("grad", "--method", "fast"),
+    ("grad", "--method", "fd"),
+    ("grad", "--method", "brute"),
+    ("verify",),
+    ("hardness", "--n", "16", "--d", "2", "--m", "10", "--grid", "11"),
+], ids=["grad-exact", "grad-fast", "grad-fd", "grad-brute", "verify", "hardness"])
+def test_reports_are_strict_json(capsys, tmp_path, argv):
+    if argv[0] != "hardness":
+        argv += ("--in", str(gen_dir(capsys, tmp_path, n=8)))
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(stdout, parse_constant=_refuse_constant)["command"] == argv[0]
+
+
 @pytest.mark.parametrize("argv, message", [
     (("gen", "--n", "0", "--d", "2", "--B", "0.5"), "n and d must be positive"),
     (("gen", "--n", "4", "--d", "0", "--B", "0.5"), "n and d must be positive"),
@@ -175,11 +191,19 @@ def test_bench_report_is_strict_json(capsys, argv):
     (("bench", "--sizes", ","), "sizes must name at least one n"),
     (("bench", "--sizes", "64,abc"), "--sizes must be comma-separated integers, got 'abc'"),
     (("hardness", "--grid", "0"), "grid_points must be at least 1"),
+    (("grad", "--method", "fast", "--eps", "nan"), "eps must be positive, got nan"),
+    (("grad", "--method", "fd", "--step", "nan"), "step must be positive, got nan"),
+    (("verify", "--eps", "nan"), "eps must be positive, got nan"),
+    (("bench", "--sizes", "64", "--eps", "0"), "eps must be positive, got 0.0"),
+    (("bench", "--sizes", "64", "--eps", "nan"), "eps must be positive, got nan"),
 ], ids=["gen-n", "gen-d", "bench-size-0", "bench-no-sizes", "bench-size-text",
-        "hardness-grid"])
+        "hardness-grid", "grad-fast-eps-nan", "grad-fd-step-nan", "verify-eps-nan",
+        "bench-eps-0", "bench-eps-nan"])
 def test_empty_inputs_exit_one(capsys, tmp_path, argv, message):
     if argv[0] == "gen":
         argv += ("--out", str(tmp_path / "inst"))
+    if argv[0] in ("grad", "verify"):
+        argv += ("--in", str(gen_dir(capsys, tmp_path)))
     code, stdout, stderr = run_cli(capsys, *argv)
     assert code == 1 and stdout == ""
     assert message in stderr

@@ -131,6 +131,31 @@ def test_read_matrix_bad_token(tmp_path):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("1 0\n0 oops\n", r"m.mat:3: invalid value 'oops'"),
+    ("1 0\n0 inf\n", r"m.mat:3: non-finite value 'inf'"),
+    ("1 nan\n0 1\n", r"m.mat:2: non-finite value 'nan'"),
+    ("1 -inf\n0 1\n", r"m.mat:2: non-finite value '-inf'"),
+    ("1 0\n0 1 5\n", "expected 4 values, found 5"),
+    # the first bad token in file order wins, whatever its kind
+    ("1 nan oops\n0 1\n", r"m.mat:2: non-finite value 'nan'"),
+    ("1 inf\n0 oops\n", r"m.mat:2: non-finite value 'inf'"),
+    ("1 0\n0 1 5 oops\n", r"m.mat:3: invalid value 'oops'"),
+], ids=["token", "inf", "nan", "neg-inf", "too-many", "nan-then-token", "inf-then-token",
+        "token-after-excess"])
+def test_read_matrix_error_names_line_and_token(tmp_path, body, message):
+    path = tmp_path / "m.mat"
+    path.write_text("2 2\n" + body)
+    with pytest.raises(ValueError, match=message):
+        read_matrix(path)
+
+
+def test_read_matrix_values_split_across_lines(tmp_path):
+    path = tmp_path / "m.mat"
+    path.write_text("2 2\n1\n0 0\n\n1")
+    assert np.array_equal(read_matrix(path), np.eye(2))
+
+
 def test_read_matrix_bad_header(tmp_path):
     path = tmp_path / "m.mat"
     path.write_text("2\n1 2\n")

@@ -2,9 +2,12 @@
 derivatives, the Riemann-sum reduction, and gradient-to-forward
 consistency."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
+from attngrad import hardness
 from attngrad.hardness import (
     HardInstance,
     f_lambda,
@@ -150,6 +153,40 @@ def test_riemann_reduction_holds(m):
     assert rep.holds
     assert abs(rep.t_m - rep.f1_minus_f0) <= rep.bound_b / m + 1e-12
     assert rep.max_abs_fprime <= 8 * 2.0 * 64
+
+
+@pytest.mark.parametrize("m, calls", [(100, 103), (1000, 1003)])
+def test_riemann_reduction_evaluates_each_lambda_once(monkeypatch, m, calls):
+    # 101 grid points, the Riemann nodes off the grid (none for m = 100,
+    # 900 for m = 1000), and f at 0 and 1
+    hi = gen_hard_instance(16, 3, 2.0, seed=17)
+    lams = []
+    row_terms = hardness._row_terms
+    monkeypatch.setattr(hardness, "_row_terms",
+                        lambda hi, lam: lams.append(lam) or row_terms(hi, lam))
+    rep = riemann_reduction(hi, m, 101)
+    assert len(lams) == calls
+    assert rep.lambda_grid.tolist() == [i / 100 for i in range(101)]
+    monkeypatch.undo()
+    assert rep.t_m == riemann_sum(lambda lam: f_lambda_derivative(hi, lam)[0], m)
+    assert rep.fprime_values.tolist() == [f_lambda_derivative(hi, i / 100)[0]
+                                          for i in range(101)]
+
+
+def test_riemann_reduction_single_grid_point():
+    hi = gen_hard_instance(8, 2, 1.0, seed=18)
+    rep = riemann_reduction(hi, 4, 1)
+    assert rep.lambda_grid.tolist() == [0.0]
+    assert rep.fprime_values.tolist() == [f_lambda_derivative(hi, 0.0)[0]]
+
+
+def test_f_lambda_is_zeroth_moment_quotient():
+    # f draws only moment 0; the three moments the derivative draws
+    # must give the same quotient bit for bit
+    hi = gen_hard_instance(32, 3, 2.0, seed=19)
+    for lam in (0.0, 0.3, 1.0, 1.7):
+        (s0, t0, _), _, _ = islice(hardness._row_terms(hi, lam), 3)
+        assert f_lambda(hi, lam) == float(((s0 / t0[:, None]) ** 2).sum())
 
 
 def test_factorized_instance_structure():
