@@ -1,9 +1,10 @@
 """Scaling benchmarks contrasting the dense and low-rank gradient paths.
 
-Timings are wall clock from a monotonic source, median of repeats,
-excluding instance generation and file I/O. The headline statistic is
-the fitted log-log slope of median seconds against n: the dense path
-is quadratic in n at fixed d, the factored path near linear.
+Timings are wall clock from a monotonic source, median of repeats
+after one untimed call, excluding instance generation and file I/O.
+The headline statistic is the fitted log-log slope of median seconds
+against n: the dense path is quadratic in n at fixed d, the factored
+path near linear.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import check_positive
 from .forward import random_instance
 from .gradient import gradient_exact
 from .lowrank import gradient_fast
@@ -41,6 +43,10 @@ def fit_loglog_slope(sizes, seconds) -> float:
 
 
 def _median_time(fn, repeats: int):
+    """Median seconds of ``repeats`` timed calls of ``fn``, and the last
+    result, after one untimed call: in a fresh process the first call
+    can run 50x slower than the steady state."""
+    fn()
     times, result = [], None
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -67,8 +73,7 @@ def run_scaling_bench(
         raise ValueError("sizes must be distinct")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_positive(eps, "eps")
     exact, fast = (BenchReport(method=m, sizes=sizes, seconds=[], max_err_vs_exact=[],
                                fitted_loglog_slope=float("nan")) for m in ("exact", "fast"))
     for n in sizes:

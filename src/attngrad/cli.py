@@ -236,9 +236,7 @@ def _cmd_hardness(args) -> int:
                              "bound_8Bn": bound, "pass": deriv_ok},
         "fd_match": {"max_rel_err": max(fd_errs), "tol": REL_TOL, "pass": fd_ok},
         "riemann": {"t_m": report.t_m, "f1_minus_f0": report.f1_minus_f0,
-                    "bound_b": report.bound_b, "m": args.m,
-                    "max_abs_fsecond": report.bound_b,
-                    "pass": report.holds},
+                    "bound_b": report.bound_b, "m": args.m, "pass": report.holds},
         "reduction_consistency": {"max_rel_err": max(red_errs), "tol": REL_TOL,
                                   "lambda_points": 11, "pass": red_ok},
         "pass": ok,

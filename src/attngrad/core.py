@@ -29,6 +29,14 @@ def check_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
     return a
 
 
+def check_positive(value: float, name: str) -> None:
+    """Raise unless the scalar ``value`` is positive and finite."""
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if np.isinf(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _as_float_array(a, ndim: int, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != ndim:

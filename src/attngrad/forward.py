@@ -180,6 +180,8 @@ def random_instance(
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
+    if not np.isfinite(B):
+        raise ValueError(f"B must be finite, got {B}")
     rng = np.random.default_rng(seed)
     a1 = rng.uniform(-1.0, 1.0, (n, d))
     a2 = rng.uniform(-1.0, 1.0, (n, d))

@@ -87,6 +87,8 @@ def gen_hard_instance(
         raise ValueError("n and d must be positive")
     if not 0.5 <= frac_b <= 1.0:
         raise ValueError("frac_b must be in [0.5, 1]")
+    if not 0.0 <= B < math.inf:
+        raise ValueError(f"B must be nonnegative and finite, got {B}")
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, B, (n, n))
     n_fixed = math.ceil(frac_b * n)
@@ -137,14 +139,6 @@ def f_lambda_derivative(hi: HardInstance, lam: float) -> tuple[float, float]:
     fpi = (ap * b - a * bp) / (b * b)
     fppi = (app - bpp * fi - 2.0 * bp * fpi) / b
     return float(fpi.sum()), float(fppi.sum())
-
-
-def row_denominators(hi: HardInstance, lam: float) -> np.ndarray:
-    """log b(lambda, i), b = (sum_k exp(lambda A[i,k]))**2, finite for
-    any lambda B; with at least half of each row equal to B, b sits
-    between (n/2)**2 exp(2 B lambda) and n**2 exp(2 B lambda)."""
-    _, t0, shift = next(_row_terms(hi, lam))
-    return 2.0 * (shift + np.log(t0))
 
 
 def riemann_sum(fprime, m: int) -> float:

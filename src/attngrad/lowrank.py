@@ -6,13 +6,13 @@ feature map of rank C(d+g, g): for rows u, w in R^d,
 
     phi(u) . phi(w) = sum_{l<=g} (u.w / d)^l / l!  ~=  exp(u.w / d).
 
-``lowrank_softmax_factors`` turns this into a rank-k1 factorization
-f ~= U1 V1^T of the softmax matrix. ``gradient_fast`` holds neither
-factor: it reduces the key side once to a k1 x (d+1)**2 sum, then
+``gradient_fast`` never forms the rank-k1 factors of the softmax
+matrix: it reduces the key side once to a k1 x (d+1)**2 sum, then
 streams query rows in blocks, at cost O(n d**2 k1) and memory
-O(n d + k1 d**2 + FEATURE_ENTRIES). The explicit factorizations of the
-chain's links (q, p1, p2) live in ``oracles.factor_chain``, as the
-reference the fused contraction is checked against.
+O(n d + k1 d**2 + FEATURE_ENTRIES). The explicit factors
+(``oracles.lowrank_softmax_factors``) and the factorizations of the
+chain's links (``oracles.factor_chain``) are the reference the fused
+contraction is checked against.
 
 Degree selection uses the explicit Taylor remainder bound
 exp(B**2) (B**2)^(g+1) / (g+1)! rather than an asymptotic formula, so
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_positive
 from .forward import AttentionInstance
 from .gradient import GradientResult, _result
 
@@ -138,8 +139,7 @@ def effective_bound(inst: AttentionInstance) -> float:
 
 def _poly_config(inst: AttentionInstance, eps: float) -> PolyConfig:
     """Degree and rank of the fast path for ``inst`` at gradient tolerance eps."""
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_positive(eps, "eps")
     b_eff = effective_bound(inst)
     eps_prime = default_eps_prime(eps, b_eff, inst.d)
     if eps_prime == 0.0:
@@ -148,26 +148,6 @@ def _poly_config(inst: AttentionInstance, eps: float) -> PolyConfig:
             "target underflows to 0; reduce B or use gradient_exact"
         )
     return select_degree(b_eff, eps_prime, inst.d)
-
-
-def lowrank_softmax_factors(
-    inst: AttentionInstance, eps: float,
-) -> tuple[np.ndarray, np.ndarray, PolyConfig]:
-    """Rank-k1 factorization U1 V1^T of the softmax matrix f, returned
-    as ``(U1, V1, config)``.
-
-    Rows of the unnormalized left factor are phi((A1 X)_j); rows of V1
-    are phi((A2)_j); the row sums of the approximate kernel normalize
-    U1, so rows of U1 V1^T sum to one exactly up to rounding. Never
-    touches an n x n matrix.
-    """
-    cfg = _poly_config(inst, eps)
-    u_raw = _features(inst.A1 @ inst.X, cfg).T
-    v1 = _features(inst.A2, cfg).T
-    alpha = u_raw @ v1.sum(axis=0)
-    if (alpha <= 0.0).any():
-        raise ValueError("approximation destroyed row sums; decrease eps_prime")
-    return u_raw / alpha[:, None], v1, cfg
 
 
 def gradient_fast(inst: AttentionInstance, eps: float) -> GradientResult:

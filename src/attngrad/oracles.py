@@ -11,8 +11,10 @@ Two oracles for the exact chain:
   n x d**2 blocks of the lifted matrix (A1 (x) A2) / d.
 
 Both are deliberately slow and capped to small instances. For the
-low-rank chain, ``factor_chain`` builds the factorization of every link
-op by op, the reference for the fused contraction in ``gradient_fast``.
+low-rank chain, ``lowrank_softmax_factors`` builds the explicit rank-k1
+softmax factors and ``factor_chain`` the factorization of every link
+from them, op by op: the reference for the fused contraction in
+``gradient_fast``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import time
 
 import numpy as np
 
-from .core import kron, row_kronecker
+from .core import check_positive, kron, row_kronecker
 from .forward import AttentionInstance, compute_exp_matrix, compute_softmax, loss
 from .gradient import GradientResult, _result
+from .lowrank import PolyConfig, _features, _poly_config
 
 # brute path is O(n**2 d**3); keep it honest about its intended scale
 BRUTE_N_CAP = 16
@@ -38,8 +41,7 @@ def finite_diff_gradient(
     """Central-difference gradient: (L(X + s E_i) - L(X - s E_i)) / 2s
     for each of the d**2 coordinates of X (row-major order, matching
     ``vec``)."""
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    check_positive(step, "step")
     t0 = time.perf_counter()
     d = inst.d
     g = np.empty(d * d)
@@ -79,6 +81,26 @@ def brute_kron_gradient(
             term = block.T @ (f_row * h_col) - bf * (h_col @ f_row)
             g += c[j0, i0] * term
     return _result(g.reshape(d, d), "brute_kron", t0)
+
+
+def lowrank_softmax_factors(
+    inst: AttentionInstance, eps: float,
+) -> tuple[np.ndarray, np.ndarray, PolyConfig]:
+    """Rank-k1 factorization U1 V1^T of the softmax matrix f, returned
+    as ``(U1, V1, config)``.
+
+    Rows of the unnormalized left factor are phi((A1 X)_j); rows of V1
+    are phi((A2)_j); the row sums of the approximate kernel normalize
+    U1, so rows of U1 V1^T sum to one exactly up to rounding. Never
+    touches an n x n matrix.
+    """
+    cfg = _poly_config(inst, eps)
+    u_raw = _features(inst.A1 @ inst.X, cfg).T
+    v1 = _features(inst.A2, cfg).T
+    alpha = u_raw @ v1.sum(axis=0)
+    if (alpha <= 0.0).any():
+        raise ValueError("approximation destroyed row sums; decrease eps_prime")
+    return u_raw / alpha[:, None], v1, cfg
 
 
 def factor_chain(

@@ -196,9 +196,20 @@ def test_reports_are_strict_json(capsys, tmp_path, argv):
     (("verify", "--eps", "nan"), "eps must be positive, got nan"),
     (("bench", "--sizes", "64", "--eps", "0"), "eps must be positive, got 0.0"),
     (("bench", "--sizes", "64", "--eps", "nan"), "eps must be positive, got nan"),
+    (("grad", "--method", "fast", "--eps", "inf"), "eps must be finite, got inf"),
+    (("grad", "--method", "fd", "--step", "inf"), "step must be finite, got inf"),
+    (("verify", "--eps", "inf"), "eps must be finite, got inf"),
+    (("bench", "--sizes", "64", "--eps", "inf"), "eps must be finite, got inf"),
+    (("gen", "--n", "4", "--d", "2", "--B", "nan"), "B must be finite, got nan"),
+    (("gen", "--n", "4", "--d", "2", "--B", "inf"), "B must be finite, got inf"),
+    (("hardness", "--B", "nan"), "B must be nonnegative and finite, got nan"),
+    (("hardness", "--B", "inf"), "B must be nonnegative and finite, got inf"),
+    (("hardness", "--B", "-1"), "B must be nonnegative and finite, got -1.0"),
 ], ids=["gen-n", "gen-d", "bench-size-0", "bench-no-sizes", "bench-size-text",
         "hardness-grid", "grad-fast-eps-nan", "grad-fd-step-nan", "verify-eps-nan",
-        "bench-eps-0", "bench-eps-nan"])
+        "bench-eps-0", "bench-eps-nan", "grad-fast-eps-inf", "grad-fd-step-inf",
+        "verify-eps-inf", "bench-eps-inf", "gen-B-nan", "gen-B-inf", "hardness-B-nan",
+        "hardness-B-inf", "hardness-B-negative"])
 def test_empty_inputs_exit_one(capsys, tmp_path, argv, message):
     if argv[0] == "gen":
         argv += ("--out", str(tmp_path / "inst"))

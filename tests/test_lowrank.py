@@ -15,11 +15,10 @@ from attngrad.lowrank import (
     PolyConfig,
     feature_map,
     gradient_fast,
-    lowrank_softmax_factors,
     select_degree,
     taylor_remainder,
 )
-from attngrad.oracles import factor_chain
+from attngrad.oracles import factor_chain, lowrank_softmax_factors
 
 
 def uniform_softmax_instance(n, d, seed, b_label=1.0):
