@@ -6,15 +6,19 @@ oracle agreement suite on an instance), ``bench`` (scaling benchmark
 with CSV output), and ``hardness`` (derivative-bound, Riemann and
 reduction-consistency checks on hard instances).
 
-All reports are JSON on stdout carrying the tool version and a full
-parameter echo. Exit codes: 0 all checks pass, 1 a check or input
-failed, 2 usage error. ``--threads 1`` pins the BLAS/OpenMP pools
-before numpy is imported, which makes runs bitwise reproducible.
+Every report is strict JSON on stdout, with ``null`` where a value is
+not finite, and carries the tool version and a full parameter echo.
+Each command returns its report; ``main`` alone adds that envelope,
+writes the report and picks the exit code: 0 all checks pass, 1 a
+check or input failed, 2 usage error. ``--threads 1`` pins the
+BLAS/OpenMP pools before numpy is imported, which makes runs bitwise
+reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -88,24 +92,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+def _strict(value):
+    """``value`` with every non-finite float replaced by None, so that
+    the report is strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return value
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> dict:
     from .forward import random_instance, save_instance
 
     inst = random_instance(args.n, args.d, args.B, args.seed, args.noise_sigma)
     save_instance(inst, args.out, {"seed": args.seed, "noise_sigma": args.noise_sigma,
                                    "tool_version": __version__})
-    _emit({"tool_version": __version__, "command": "gen", "out": args.out,
-           "n": args.n, "d": args.d, "B": args.B, "seed": args.seed,
-           "noise_sigma": args.noise_sigma})
-    return 0
+    return {"out": args.out, "n": args.n, "d": args.d, "B": args.B, "seed": args.seed,
+            "noise_sigma": args.noise_sigma}
 
 
-def _cmd_grad(args) -> int:
+def _cmd_grad(args) -> dict:
     from .forward import load_instance
     from .gradient import gradient_exact
     from .lowrank import gradient_fast
@@ -120,29 +129,27 @@ def _cmd_grad(args) -> int:
         res = finite_diff_gradient(inst, args.step)
     else:
         res = brute_kron_gradient(inst)
-    report = {
-        "tool_version": __version__, "command": "grad", "in": args.in_dir,
-        "n": inst.n, "d": inst.d, "B": inst.B, "method": res.method,
-        "elapsed_seconds": res.elapsed_seconds, "g": res.g.tolist(),
-    }
+    report = {"in": args.in_dir, "n": inst.n, "d": inst.d, "B": inst.B,
+              "method": res.method, "elapsed_seconds": res.elapsed_seconds,
+              "g": res.g.tolist()}
     if args.method == "fast":
         report["eps"] = args.eps
         report.update(res.info)
     if args.method == "fd":
         report["step"] = args.step
-    _emit(report)
-    return 0
+    return report
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
+    import numpy as np
+
     from .gradient import gradient_exact
     from .forward import load_instance
     from .lowrank import gradient_fast
-    from .oracles import BRUTE_D_CAP, BRUTE_N_CAP, brute_kron_gradient, compare, \
-        finite_diff_gradient
+    from .oracles import BRUTE_D_CAP, BRUTE_N_CAP, brute_kron_gradient, finite_diff_gradient
 
     def check(name, a, b, tol):
-        diff = compare(a, b)
+        diff = float(np.abs(a.g - b.g).max())
         return {"name": name, "max_abs": diff, "tol": tol,
                 "status": "pass" if diff <= tol else "fail"}
 
@@ -155,20 +162,12 @@ def _cmd_verify(args) -> int:
         checks.append({"name": "exact_vs_brute", "status": "skipped",
                        "reason": f"brute oracle capped at n<={BRUTE_N_CAP}, d<={BRUTE_D_CAP}"})
     checks.append(check("fast_vs_exact", gradient_fast(inst, args.eps), exact, args.eps))
-
-    ok = all(c["status"] != "fail" for c in checks)
-    _emit({"tool_version": __version__, "command": "verify", "in": args.in_dir,
-           "n": inst.n, "d": inst.d, "B": inst.B, "eps": args.eps,
-           "step": args.step, "checks": checks, "pass": ok})
-    return 0 if ok else 1
+    return {"in": args.in_dir, "n": inst.n, "d": inst.d, "B": inst.B, "eps": args.eps,
+            "step": args.step, "checks": checks,
+            "pass": all(c["status"] != "fail" for c in checks)}
 
 
-def _json_float(v: float):
-    """A float for a strict JSON report: nan and inf become null."""
-    return v if math.isfinite(v) else None
-
-
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> dict:
     from .bench import bench_csv_rows, run_scaling_bench
 
     sizes = []
@@ -182,24 +181,13 @@ def _cmd_bench(args) -> int:
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("\n".join(rows) + "\n")
-    _emit({
-        "tool_version": __version__, "command": "bench",
-        "sizes": sizes, "d": args.d, "B": args.B, "eps": args.eps,
-        "repeats": args.repeats, "seed": args.seed,
-        "reports": [
-            {"method": r.method, "sizes": r.sizes,
-             "seconds": [_json_float(v) for v in r.seconds],
-             "max_err_vs_exact": [_json_float(v) for v in r.max_err_vs_exact],
-             "fitted_loglog_slope": _json_float(r.fitted_loglog_slope),
-             "errors": r.errors}
-            for r in reports
-        ],
-        "csv": rows if not args.csv else args.csv,
-    })
-    return 0
+    return {"sizes": sizes, "d": args.d, "B": args.B, "eps": args.eps,
+            "repeats": args.repeats, "seed": args.seed,
+            "reports": [dataclasses.asdict(r) for r in reports],
+            "csv": rows if not args.csv else args.csv}
 
 
-def _cmd_hardness(args) -> int:
+def _cmd_hardness(args) -> dict:
     import numpy as np
 
     from .hardness import f_lambda, f_lambda_derivative, factorized_hard_instance, \
@@ -210,7 +198,8 @@ def _cmd_hardness(args) -> int:
     report = riemann_reduction(hi, args.m, args.grid, strict=False)
 
     bound = 8.0 * args.B * args.n
-    deriv_ok = bool(report.max_abs_fprime <= bound + 1e-9)
+    max_abs_fprime = float(np.abs(report.fprime_values).max())
+    deriv_ok = bool(max_abs_fprime <= bound + 1e-9)
 
     step = 1e-5
     fd_errs = []
@@ -227,21 +216,18 @@ def _cmd_hardness(args) -> int:
         red_errs.append(float(abs(from_grad - fp) / (1.0 + abs(fp))))
     red_ok = max(red_errs) <= REL_TOL
 
-    ok = deriv_ok and fd_ok and report.holds and red_ok
-    _emit({
-        "tool_version": __version__, "command": "hardness",
+    return {
         "n": args.n, "d": args.d, "B": args.B, "m": args.m,
         "seed": args.seed, "frac_B": args.frac_b, "grid_points": args.grid,
-        "derivative_bound": {"max_abs_fprime": report.max_abs_fprime,
+        "derivative_bound": {"max_abs_fprime": max_abs_fprime,
                              "bound_8Bn": bound, "pass": deriv_ok},
         "fd_match": {"max_rel_err": max(fd_errs), "tol": REL_TOL, "pass": fd_ok},
         "riemann": {"t_m": report.t_m, "f1_minus_f0": report.f1_minus_f0,
                     "bound_b": report.bound_b, "m": args.m, "pass": report.holds},
         "reduction_consistency": {"max_rel_err": max(red_errs), "tol": REL_TOL,
                                   "lambda_points": 11, "pass": red_ok},
-        "pass": ok,
-    })
-    return 0 if ok else 1
+        "pass": deriv_ok and fd_ok and report.holds and red_ok,
+    }
 
 
 _COMMANDS = {
@@ -261,10 +247,14 @@ def main(argv=None) -> int:
                     "NUMEXPR_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     try:
-        return _COMMANDS[args.command](args)
+        report = _strict({"tool_version": __version__, "command": args.command,
+                          **_COMMANDS[args.command](args)})
+        json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     except (ValueError, OSError) as exc:
         print(f"attngrad {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    return 0 if report.get("pass", True) else 1
 
 
 if __name__ == "__main__":

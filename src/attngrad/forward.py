@@ -61,7 +61,7 @@ class AttentionInstance:
     B: float
 
     def __post_init__(self):
-        for name in ("A1", "A2", "A3", "E", "X", "Y"):
+        for name in _MATRIX_FILES:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.ndim != 2:
                 raise ValueError(f"{name} must be a matrix, got shape {arr.shape}")
@@ -182,6 +182,8 @@ def random_instance(
         raise ValueError("n and d must be positive")
     if not np.isfinite(B):
         raise ValueError(f"B must be finite, got {B}")
+    if not np.isfinite(noise_sigma):
+        raise ValueError(f"noise_sigma must be finite, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     a1 = rng.uniform(-1.0, 1.0, (n, d))
     a2 = rng.uniform(-1.0, 1.0, (n, d))

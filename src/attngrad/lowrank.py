@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_positive
+from .core import check_positive, row_kronecker
 from .forward import AttentionInstance
 from .gradient import GradientResult, _result
 
@@ -171,14 +171,13 @@ def gradient_fast(inst: AttentionInstance, eps: float) -> GradientResult:
     aa = np.hstack([np.ones((n, 1)), inst.A2])
     step = max(1, FEATURE_ENTRIES // (cfg.m_feat + w * w))
     blocks = [slice(start, start + step) for start in range(0, n, step)]
-    R = sum(_features(inst.A2[b], cfg) @ (hh[b, :, None] * aa[b, None, :]).reshape(-1, w * w)
-            for b in blocks)
+    R = sum(_features(inst.A2[b], cfg) @ row_kronecker(aa[b], hh[b]) for b in blocks)
     del hh, aa
     a1x, pa, sq = inst.A1 @ inst.X, np.empty((n, d)), 0.0
     for b in blocks:
         u = (_features(a1x[b], cfg).T @ R).reshape(-1, w, w)
         if (u[:, 0, 0] <= 0.0).any():
-            raise ValueError("approximation destroyed row sums; decrease eps_prime")
+            raise ValueError("approximation destroyed row sums; decrease eps or use gradient_exact")
         u /= u[:, :1, :1]
         z, m, t = u[:, 1:, 0], u[:, 0, 1:], u[:, 1:, 1:]
         c = z - inst.E[b]

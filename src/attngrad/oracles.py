@@ -1,5 +1,4 @@
-"""Independent references for both gradient chains, and a comparison
-utility.
+"""Independent references for both gradient chains.
 
 Two oracles for the exact chain:
 
@@ -99,7 +98,7 @@ def lowrank_softmax_factors(
     v1 = _features(inst.A2, cfg).T
     alpha = u_raw @ v1.sum(axis=0)
     if (alpha <= 0.0).any():
-        raise ValueError("approximation destroyed row sums; decrease eps_prime")
+        raise ValueError("approximation destroyed row sums; decrease eps or use gradient_exact")
     return u_raw / alpha[:, None], v1, cfg
 
 
@@ -125,10 +124,3 @@ def factor_chain(
         "p1": (row_kronecker(u1, u2), row_kronecker(v1, v2)),
         "p2": (r[:, None] * u1, v1),
     }
-
-
-def compare(a: GradientResult, b: GradientResult) -> float:
-    """Max absolute difference between two gradients."""
-    if a.g.size != b.g.size:
-        raise ValueError(f"gradient lengths differ: {a.g.size} vs {b.g.size}")
-    return float(np.abs(a.g - b.g).max()) if a.g.size else 0.0

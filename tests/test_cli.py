@@ -95,6 +95,16 @@ def test_verify_skips_brute_beyond_cap(capsys, tmp_path):
     assert statuses["exact_vs_brute"] == "skipped"
 
 
+def test_verify_failed_check_exits_one(capsys, tmp_path):
+    # a finite-difference step this coarse misses the FD_TOL check
+    out = gen_dir(capsys, tmp_path, n=10, d=2)
+    code, stdout, _ = run_cli(capsys, "verify", "--in", str(out), "--step", "0.5")
+    report = json.loads(stdout)
+    assert code == 1 and report["pass"] is False
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert statuses["exact_vs_fd"] == "fail"
+
+
 def test_verify_corrupted_input_exits_one(capsys, tmp_path):
     out = gen_dir(capsys, tmp_path, "bad")
     path = out / "E.mat"
@@ -205,11 +215,15 @@ def test_reports_are_strict_json(capsys, tmp_path, argv):
     (("hardness", "--B", "nan"), "B must be nonnegative and finite, got nan"),
     (("hardness", "--B", "inf"), "B must be nonnegative and finite, got inf"),
     (("hardness", "--B", "-1"), "B must be nonnegative and finite, got -1.0"),
+    (("gen", "--n", "4", "--d", "2", "--B", "0.5", "--noise-sigma", "nan"),
+     "noise_sigma must be finite, got nan"),
+    (("gen", "--n", "4", "--d", "2", "--B", "0.5", "--noise-sigma", "inf"),
+     "noise_sigma must be finite, got inf"),
 ], ids=["gen-n", "gen-d", "bench-size-0", "bench-no-sizes", "bench-size-text",
         "hardness-grid", "grad-fast-eps-nan", "grad-fd-step-nan", "verify-eps-nan",
         "bench-eps-0", "bench-eps-nan", "grad-fast-eps-inf", "grad-fd-step-inf",
         "verify-eps-inf", "bench-eps-inf", "gen-B-nan", "gen-B-inf", "hardness-B-nan",
-        "hardness-B-inf", "hardness-B-negative"])
+        "hardness-B-inf", "hardness-B-negative", "gen-noise-nan", "gen-noise-inf"])
 def test_empty_inputs_exit_one(capsys, tmp_path, argv, message):
     if argv[0] == "gen":
         argv += ("--out", str(tmp_path / "inst"))

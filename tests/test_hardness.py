@@ -62,6 +62,11 @@ def test_hard_instance_validation():
         HardInstance(A=2 * np.ones((2, 2)), V=np.zeros((2, 1)), B=1.0)
     with pytest.raises(ValueError, match="0 or 1"):
         HardInstance(A=np.zeros((2, 2)), V=0.5 * np.ones((2, 1)), B=1.0)
+    for B in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"nonnegative and finite, got {B}"):
+            HardInstance(A=np.zeros((2, 2)), V=np.zeros((2, 1)), B=B)
+        with pytest.raises(ValueError, match=f"nonnegative and finite, got {B}"):
+            factorized_hard_instance(8, 2, B)
 
 
 def test_f_lambda_at_zero_closed_form():
@@ -139,7 +144,7 @@ def test_riemann_reduction_holds(m):
     rep = riemann_reduction(hi, m)
     assert rep.holds
     assert abs(rep.t_m - rep.f1_minus_f0) <= rep.bound_b / m + 1e-12
-    assert rep.max_abs_fprime <= 8 * 2.0 * 64
+    assert np.abs(rep.fprime_values).max() <= 8 * 2.0 * 64
 
 
 @pytest.mark.parametrize("m, calls", [(100, 103), (1000, 1003)])
@@ -172,7 +177,7 @@ def test_f_lambda_is_zeroth_moment_quotient():
     # must give the same quotient bit for bit
     hi = gen_hard_instance(32, 3, 2.0, seed=19)
     for lam in (0.0, 0.3, 1.0, 1.7):
-        (s0, t0, _), _, _ = islice(hardness._row_terms(hi, lam), 3)
+        (s0, t0), _, _ = islice(hardness._row_terms(hi, lam), 3)
         assert f_lambda(hi, lam) == float(((s0 / t0[:, None]) ** 2).sum())
 
 

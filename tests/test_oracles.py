@@ -1,12 +1,12 @@
-"""Independent oracles: finite differences, the brute-force lifted
-gradient, and the comparison report."""
+"""Independent oracles: finite differences and the brute-force lifted
+gradient."""
 
 import numpy as np
 import pytest
 
 from attngrad.forward import AttentionInstance, random_instance
 from attngrad.gradient import gradient_exact
-from attngrad.oracles import brute_kron_gradient, compare, finite_diff_gradient
+from attngrad.oracles import brute_kron_gradient, finite_diff_gradient
 from tests.test_forward import worked_instance
 
 
@@ -85,20 +85,3 @@ def test_brute_cap():
     # explicit override admits larger n
     res = brute_kron_gradient(inst, max_n=32)
     assert np.abs(res.g - gradient_exact(inst).g).max() <= 1e-10
-
-
-def test_compare_self():
-    inst = random_instance(6, 2, 0.7, seed=7)
-    res = gradient_exact(inst)
-    assert compare(res, res) == 0.0
-
-
-def test_compare_reports_location():
-    a = gradient_exact(random_instance(4, 2, 0.5, seed=8))
-    b = type(a)(g=np.array([1.0, 2.0]), G=np.array([[1.0, 2.0]]),
-                method="x", elapsed_seconds=0.0)
-    c = type(a)(g=np.array([1.0, 2.5]), G=np.array([[1.0, 2.5]]),
-                method="y", elapsed_seconds=0.0)
-    assert compare(b, c) == compare(c, b) == 0.5
-    with pytest.raises(ValueError, match="lengths"):
-        compare(a, b)
