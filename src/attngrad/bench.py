@@ -1,7 +1,7 @@
 """Scaling benchmarks contrasting the dense and low-rank gradient paths.
 
 Timings are wall clock from a monotonic source, median of repeats
-after one untimed call, excluding instance generation and file I/O.
+after a warm-up, excluding instance generation and file I/O.
 The headline statistic is the fitted log-log slope of median seconds
 against n: the dense path is quadratic in n at fixed d, the factored
 path near linear.
@@ -44,10 +44,14 @@ def fit_loglog_slope(sizes, seconds) -> float:
 
 def _median_time(fn, repeats: int):
     """Median seconds of ``repeats`` timed calls of ``fn``, and the last
-    result, after one untimed call: in a fresh process the first call
-    can run 50x slower than the steady state."""
-    fn()
-    times, result = [], None
+    result, after untimed calls until two in a row agree within 1.25x
+    (at most 10 calls): in a fresh process the first few calls can run
+    5-50x slower than the steady state."""
+    warm, times, result = [], [], None
+    while len(warm) < 10 and (len(warm) < 2 or max(warm[-2:]) > 1.25 * min(warm[-2:])):
+        t0 = time.perf_counter()
+        fn()
+        warm.append(time.perf_counter() - t0)
     for _ in range(repeats):
         t0 = time.perf_counter()
         result = fn()

@@ -10,12 +10,12 @@ and the training objective is L(X) = 0.5 * ||f(X) h(Y) - E||_F^2.
 
 The production softmax, ``softmax_blocks``, streams f in row blocks of
 at most ``BLOCK_ENTRIES`` entries, unnormalized: each block is
-e = exp(scores - row max) with its row sums alpha, so f = e / alpha,
-every exponent is at most 0, every alpha lies in [1, n], and any entry
-bound B >= 0 is computable in O(n d + BLOCK_ENTRIES) memory. All
-blocks share one buffer. ``forward`` writes (e h) / alpha and never
-normalizes e. ``compute_exp_matrix`` and ``compute_softmax`` build the
-dense, unshifted matrices as the reference the tests and the
+e = exp(scores), shifted by its row maxima only where the score bound
+exceeds ``SHIFT_FREE_BOUND``, with its row sums alpha, so f = e / alpha
+and any entry bound B >= 0 is computable in O(n d + BLOCK_ENTRIES)
+memory. All blocks share one buffer. ``forward`` writes (e h) / alpha
+and never normalizes e. ``compute_exp_matrix`` and ``compute_softmax``
+build the dense, unshifted matrices as the reference the tests and the
 brute-force oracle use.
 """
 
@@ -31,6 +31,10 @@ from .core import check_finite, read_matrix, write_matrix
 
 # exp(x) overflows float64 just above x = 709.78
 EXP_LIMIT = 709.0
+
+# score bound T up to which exp needs no row-max shift: entries lie in
+# [e^-T, e^T], and every later product keeps 10^250 of float64 headroom
+SHIFT_FREE_BOUND = 64.0
 
 # entries of the score block softmax_blocks reuses (512 KB of float64);
 # chosen by speed at n = 1024..8192, where 1 << 15 and 1 << 17 were slower
@@ -131,30 +135,39 @@ def softmax_blocks(inst: AttentionInstance, x: np.ndarray | None = None):
     softmax matrix f(X), ``max(1, BLOCK_ENTRIES // n)`` rows at a time,
     with ``f[rows] = e / alpha``.
 
-    ``e`` is exp((A1 X / d)[rows] A2^T) shifted by its row maxima, so
-    every row of ``e`` has maximum 1 and ``alpha``, its row sums as a
-    column, lies in [1, n]. ``e`` is a view of one buffer that the next
-    block overwrites: use it before advancing the generator. ``x``
-    substitutes a different X without revalidating the B bound; the
-    shift keeps every exponent at most 0 whatever its size.
+    ``e`` is exp((A1 X / d)[rows] A2^T), ``alpha`` its row sums as a
+    column. The score bound T = max|A1 X| max|A2| is taken per call, so
+    it holds for an unvalidated ``x`` in place of X. Up to
+    ``SHIFT_FREE_BOUND`` ``e`` lies in [e^-T, e^T]; above it each row
+    is shifted by its maximum to 1, so ``alpha`` lies in [1, n]. ``e``
+    is one buffer that the next block overwrites: use it first.
     """
     n = inst.n
     a1x = inst.A1 @ (inst.X if x is None else x) / inst.d
+    a2t = np.ascontiguousarray(inst.A2.T)
+    bound = inst.d * np.abs(a1x).max(initial=0.0) * np.abs(a2t).max(initial=0.0)
     step = max(1, BLOCK_ENTRIES // n)
     buf = np.empty((min(step, n), n))
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
-        e = np.matmul(a1x[rows], inst.A2.T, out=buf[:rows.stop - start])
-        e -= e.max(axis=1, keepdims=True)
+        e = np.matmul(a1x[rows], a2t, out=buf[:rows.stop - start])
+        if bound > SHIFT_FREE_BOUND:
+            e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
         yield rows, e, e.sum(axis=1, keepdims=True)
+
+
+def value_operands(inst: AttentionInstance) -> np.ndarray:
+    """[h | 1]^T, h = A3 Y, contiguous (d + 1) x n for the block GEMMs;
+    ``forward`` and ``gradient_exact`` both take h as ``h1t[:d].T``."""
+    return np.vstack((inst.Y.T @ inst.A3.T, np.ones(inst.n)))
 
 
 def forward(
     inst: AttentionInstance, x_override: np.ndarray | None = None,
 ) -> np.ndarray:
     """One attention layer: f(X) @ h(Y), an n x d matrix."""
-    h = inst.A3 @ inst.Y
+    h = value_operands(inst)[:inst.d].T
     out = np.empty((inst.n, inst.d))
     for rows, e, alpha in softmax_blocks(inst, x_override):
         out[rows] = (e @ h) / alpha

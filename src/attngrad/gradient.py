@@ -18,12 +18,12 @@ forms f or f * q:
     q - s = [c | -s] [h | 1]^T              (one GEMM with k = d + 1)
     G += A1_J^T (((q - s) * e) A2 / alpha)
 
-That is four skinny GEMMs (scores, e h, q - s, p A2) plus the shift,
-exp and multiply passes per block: O(n**2 d) time and O(n d +
-BLOCK_ENTRIES) memory in two reused block buffers, scores and q. The
-d**2-wide lift A1 (x) A2 is never materialized. Its independent
-references are the finite-difference and brute-force oracles in
-``oracles``.
+That is four skinny GEMMs (scores, e h, q - s, p A2) plus the exp and
+multiply passes per block (and a row-max pass above the score bound):
+O(n**2 d) time and O(n d + BLOCK_ENTRIES) memory in two reused block
+buffers, scores and q. The d**2-wide lift A1 (x) A2 is never
+materialized. Its independent references are the finite-difference
+and brute-force oracles in ``oracles``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import check_finite, vec
-from .forward import AttentionInstance, softmax_blocks
+from .forward import AttentionInstance, softmax_blocks, value_operands
 
 
 @dataclass
@@ -75,8 +75,8 @@ def gradient_exact(inst: AttentionInstance) -> GradientResult:
     """Exact gradient (1/d) vec(A1^T p A2), ``compute_p`` fused over the
     unnormalized row blocks of ``softmax_blocks``."""
     t0 = time.perf_counter()
-    h = inst.A3 @ inst.Y
-    h1 = np.column_stack((h, np.ones(inst.n)))
+    h1t = value_operands(inst)
+    h = h1t[:inst.d].T
     G = np.zeros((inst.d, inst.d))
     qbuf = None
     for rows, e, alpha in softmax_blocks(inst):
@@ -85,7 +85,7 @@ def gradient_exact(inst: AttentionInstance) -> GradientResult:
         z = (e @ h) / alpha
         c = z - inst.E[rows]
         cs = np.column_stack((c, -(c * z).sum(axis=1)))
-        q = np.matmul(cs, h1.T, out=qbuf[:len(e)])
+        q = np.matmul(cs, h1t, out=qbuf[:len(e)])
         q *= e
         G += inst.A1[rows].T @ ((q @ inst.A2) / alpha)
     return _result(G / inst.d, "exact", t0)

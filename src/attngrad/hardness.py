@@ -13,10 +13,10 @@ derivative bound, the left-Riemann-sum recovery of f(1) - f(0) from m
 derivative samples, and the identity tying f'(lambda) to the trace of
 the attention-loss gradient at X = lambda d I.
 
-All per-row exponential sums are rescaled by the row maximum of
-lambda * A before exponentiation; the a/b quotients are scale
-invariant, so results are unchanged while lambda * B up to a few
-hundred stays computable.
+Where |lambda| B exceeds ``forward.SHIFT_FREE_BOUND``, the per-row
+exponential sums are rescaled by the row maximum of lambda * A before
+exponentiation; the a/b quotients are scale invariant, so results are
+unchanged while lambda * B up to a few hundred stays computable.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import islice
 import numpy as np
 
 from .core import check_finite
-from .forward import AttentionInstance
+from .forward import SHIFT_FREE_BOUND, AttentionInstance
 from .gradient import gradient_exact
 
 _ENTRY_SLACK = 1e-12
@@ -99,17 +99,18 @@ def gen_hard_instance(
 
 
 def _row_terms(hi: HardInstance, lam: float):
-    """Per-row rescaled exponential sums, one moment at a time.
+    """Per-row exponential sums, one moment at a time.
 
     Yields (s_k, t_k) for k = 0, 1, 2, ...: s_k[i, l] is
     sum_{j in S_l} A[i,j]**k * exp(lam*A[i,j] - shift[i]) and t_k[i]
-    the same sum over all j; shift[i], the row maximum of lam*A,
-    cancels in every quotient used below. Each further moment costs an
-    n x n multiply, so callers draw only the moments they use.
+    the same sum over all j; shift[i], 0 or the row max of lam*A above
+    ``SHIFT_FREE_BOUND``, cancels in every quotient. Each n x n multiply
+    adds a moment, so callers draw only the moments they use.
     """
     # one n x n buffer, scaled by A in place between moments
     w = lam * hi.A
-    w -= w.max(axis=1)[:, None]
+    if abs(lam) * hi.B > SHIFT_FREE_BOUND:
+        w -= w.max(axis=1)[:, None]
     np.exp(w, out=w)
     while True:
         yield w @ hi.V, w.sum(1)

@@ -191,24 +191,72 @@ def test_block_boundaries_match_dense_reference(monkeypatch):
         assert np.abs(G - brute_G).max() <= 1e-10
 
 
-def test_softmax_blocks_yield_unnormalized_rows(monkeypatch):
-    # n = 50 in blocks of 7 rows, the last one ragged (1 row)
-    inst = random_instance(50, 3, 0.9, seed=13)
+def _dense_reference(inst):
+    """f, f h and the gradient from the dense, unshifted matrices."""
     f, _ = compute_softmax(compute_exp_matrix(inst))
     h = inst.A3 @ inst.Y
     c = f @ h - inst.E
-    dense_G = inst.A1.T @ compute_p(f, c @ h.T) @ inst.A2 / inst.d
+    return f, f @ h, inst.A1.T @ compute_p(f, c @ h.T) @ inst.A2 / inst.d
+
+
+def _score_bound(inst):
+    return np.abs(inst.A1 @ inst.X).max() * np.abs(inst.A2).max()
+
+
+def test_softmax_blocks_yield_unnormalized_rows(monkeypatch):
+    # below the bound each block is exp(scores), unshifted; n = 50 in
+    # blocks of 7 rows, the last one ragged (1 row)
+    inst = random_instance(50, 3, 0.9, seed=13)
+    t = _score_bound(inst)
+    assert t <= forward_module.SHIFT_FREE_BOUND
+    m = compute_exp_matrix(inst)
+    f, fh, dense_G = _dense_reference(inst)
+    monkeypatch.setattr(forward_module, "BLOCK_ENTRIES", 7 * inst.n)
+    sizes = []
+    for rows, e, alpha in forward_module.softmax_blocks(inst):
+        sizes.append(len(e))
+        assert (np.abs(e - m[rows]) / m[rows]).max() <= 1e-15
+        assert alpha.shape == (len(e), 1)
+        assert np.all((alpha >= inst.n * np.exp(-t)) & (alpha <= inst.n * np.exp(t)))
+        assert np.abs(e / alpha - f[rows]).max() <= 1e-15
+    assert sizes == [7] * 7 + [1]
+    assert np.abs(forward(inst) - fh).max() <= 1e-14
+    assert np.abs(gradient_exact(inst).G - dense_G).max() <= 1e-14 * np.abs(dense_G).max()
+
+
+def test_softmax_blocks_shift_rows_above_the_bound(monkeypatch):
+    # B = 9 puts the score bound at 81: each row is shifted by its max
+    inst = random_instance(50, 3, 9.0, seed=13)
+    assert _score_bound(inst) > forward_module.SHIFT_FREE_BOUND
+    f, fh, dense_G = _dense_reference(inst)
     monkeypatch.setattr(forward_module, "BLOCK_ENTRIES", 7 * inst.n)
     sizes = []
     for rows, e, alpha in forward_module.softmax_blocks(inst):
         sizes.append(len(e))
         assert np.all(e.max(axis=1) == 1.0)
-        assert alpha.shape == (len(e), 1)
         assert np.all((alpha >= 1.0) & (alpha <= inst.n))
-        assert np.abs(e / alpha - f[rows]).max() <= 1e-15
+        assert np.abs(e / alpha - f[rows]).max() <= 1e-14
     assert sizes == [7] * 7 + [1]
-    assert np.abs(forward(inst) - f @ h).max() <= 1e-14
-    assert np.abs(gradient_exact(inst).G - dense_G).max() <= 1e-14
+    assert np.abs(forward(inst) - fh).max() <= 1e-14
+    assert np.abs(gradient_exact(inst).G - dense_G).max() <= 1e-14 * np.abs(dense_G).max()
+
+
+@pytest.mark.parametrize("scale", [10.0, 3000.0])
+def test_loss_override_past_the_bound_is_exact(scale):
+    # the bound is taken from the override, not from inst.B: scale * X
+    # puts it at 81, or at 2430 with scores up to 1261, past the float64
+    # exp range, on an instance validated at B = 0.9; the reference
+    # shifts its dense rows
+    inst = random_instance(50, 3, 0.9, seed=13)
+    x = scale * inst.X
+    s = inst.A1 @ x @ inst.A2.T / inst.d
+    m = np.exp(s - s.max(axis=1, keepdims=True))
+    c_ref = (m / m.sum(axis=1, keepdims=True)) @ (inst.A3 @ inst.Y) - inst.E
+    value, c = loss(inst, x)
+    assert np.isfinite(value)
+    assert np.abs(c - c_ref).max() <= 1e-13
+    ref = 0.5 * float((c_ref ** 2).sum())
+    assert abs(value - ref) <= 1e-13 * ref
 
 
 def test_row_sum_overflow_instance_is_exact():

@@ -181,6 +181,32 @@ def test_f_lambda_is_zeroth_moment_quotient():
         assert f_lambda(hi, lam) == float(((s0 / t0[:, None]) ** 2).sum())
 
 
+@pytest.mark.parametrize("lam", [-7.0, 0.4, 3.0, 7.0, 9.0])
+def test_row_shift_is_skipped_only_where_it_cancels(monkeypatch, lam):
+    # B = 10: |lam| B runs from 4 to 90, on both sides of the bound;
+    # forcing the other branch must give the same values. f' and f''
+    # are sums of cancelling quotient-rule terms, rounded to about
+    # 1e-16 of their scales n B and n B**2, not of their values
+    n, B = 64, 10.0
+    hi = gen_hard_instance(n, 3, B, seed=23)
+    values = f_lambda(hi, lam), *f_lambda_derivative(hi, lam)
+    bound = np.inf if abs(lam) * B > hardness.SHIFT_FREE_BOUND else -1.0
+    monkeypatch.setattr(hardness, "SHIFT_FREE_BOUND", bound)
+    other = f_lambda(hi, lam), *f_lambda_derivative(hi, lam)
+    for a, b, scale in zip(values, other, (values[0], n * B, n * B * B)):
+        assert abs(a - b) <= 1e-14 * abs(scale)
+
+
+def test_constant_scores_stay_computable_at_large_lambda():
+    # A = B everywhere makes f constant in lambda; at |lambda| B = 800
+    # exp(lambda A) leaves the float64 range unless rows are shifted
+    hi = gen_hard_instance(8, 2, 1.0, frac_b=1.0, seed=3)
+    for lam in (-800.0, 800.0):
+        assert f_lambda(hi, lam) == f_lambda(hi, 0.0)
+        fp, fs = f_lambda_derivative(hi, lam)
+        assert fp == 0.0 and abs(fs) <= 1e-12
+
+
 def test_factorized_instance_structure():
     hi, q, k = factorized_hard_instance(16, 4, 2.0, seed=12)
     assert np.array_equal(hi.A, q @ k.T)
