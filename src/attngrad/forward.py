@@ -51,7 +51,7 @@ _MATRIX_FILES = ("A1", "A2", "A3", "E", "X", "Y")
 class AttentionInstance:
     """One attention optimization problem.
 
-    A1, A2, A3, E are n x d; X, Y are d x d; B bounds both
+    A1, A2, A3, E are n x d (n, d >= 1); X, Y are d x d; B bounds both
     ``max|A1 @ X|`` and ``max|A2|`` so that every entry of
     ``A1 X A2^T / d`` lies in [-B**2, B**2].
     """
@@ -72,6 +72,8 @@ class AttentionInstance:
             check_finite(arr, name)
             setattr(self, name, arr)
         n, d = self.A1.shape
+        if n < 1 or d < 1:
+            raise ValueError(f"A1 has shape {self.A1.shape}; n and d must be positive")
         for name in ("A2", "A3", "E"):
             if getattr(self, name).shape != (n, d):
                 raise ValueError(
@@ -87,10 +89,10 @@ class AttentionInstance:
         if not np.isfinite(d * self.B * self.B):
             raise ValueError(f"score bound d*B**2 overflows float64 at B={self.B:.6g}; reduce B")
         tol = self.B + _BOUND_SLACK * (1.0 + self.B)
-        a1x = np.abs(self.A1 @ self.X).max() if d else 0.0
+        a1x = np.abs(self.A1 @ self.X).max()
         if a1x > tol:
             raise ValueError(f"max|A1 @ X| = {a1x:.6g} exceeds B = {self.B:.6g}")
-        a2 = np.abs(self.A2).max() if self.A2.size else 0.0
+        a2 = np.abs(self.A2).max()
         if a2 > tol:
             raise ValueError(f"max|A2| = {a2:.6g} exceeds B = {self.B:.6g}")
 
@@ -111,7 +113,7 @@ def compute_exp_matrix(inst: AttentionInstance) -> np.ndarray:
     so a B**2 past ``EXP_LIMIT`` overflows float64 and is refused.
     """
     s = inst.A1 @ inst.X @ inst.A2.T / inst.d
-    if s.size and s.max() > EXP_LIMIT:
+    if s.max() > EXP_LIMIT:
         raise ValueError("entry magnitude exceeds float64 exp range")
     return np.exp(s)
 
@@ -145,7 +147,7 @@ def softmax_blocks(inst: AttentionInstance, x: np.ndarray | None = None):
     n = inst.n
     a1x = inst.A1 @ (inst.X if x is None else x) / inst.d
     a2t = np.ascontiguousarray(inst.A2.T)
-    bound = inst.d * np.abs(a1x).max(initial=0.0) * np.abs(a2t).max(initial=0.0)
+    bound = inst.d * np.abs(a1x).max() * np.abs(a2t).max()
     step = max(1, BLOCK_ENTRIES // n)
     buf = np.empty((min(step, n), n))
     for start in range(0, n, step):

@@ -34,6 +34,11 @@ from .gradient import gradient_exact
 _ENTRY_SLACK = 1e-12
 
 
+def _check_bound(B: float) -> None:
+    if not 0.0 <= B < math.inf:
+        raise ValueError(f"B must be nonnegative and finite, got {B}")
+
+
 @dataclass
 class HardInstance:
     """Score matrix A (n x n, entries in [0, B]) and binary values V (n x d).
@@ -55,8 +60,7 @@ class HardInstance:
         if self.V.ndim != 2 or self.V.shape[0] != self.A.shape[0]:
             raise ValueError(f"V must have {self.A.shape[0]} rows, got {self.V.shape}")
         check_finite(self.A, "A")
-        if not 0.0 <= self.B < math.inf:
-            raise ValueError(f"B must be nonnegative and finite, got {self.B}")
+        _check_bound(self.B)
         lo, hi = self.A.min(), self.A.max()
         if lo < -_ENTRY_SLACK or hi > self.B + _ENTRY_SLACK * (1 + self.B):
             raise ValueError(f"entries of A in [{lo:.3g}, {hi:.3g}] outside [0, {self.B}]")
@@ -86,8 +90,7 @@ def gen_hard_instance(
         raise ValueError("n and d must be positive")
     if not 0.5 <= frac_b <= 1.0:
         raise ValueError("frac_b must be in [0.5, 1]")
-    if not 0.0 <= B < math.inf:
-        raise ValueError(f"B must be nonnegative and finite, got {B}")
+    _check_bound(B)
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, B, (n, n))
     n_fixed = math.ceil(frac_b * n)
@@ -182,8 +185,7 @@ def factorized_hard_instance(
     entrywise in [0, sqrt(B/d)], so A lands in [0, B]. The exact
     half-the-row-equals-B structure is not enforced here; these feed
     the gradient-to-forward consistency check."""
-    if not 0.0 <= B < math.inf:
-        raise ValueError(f"B must be nonnegative and finite, got {B}")
+    _check_bound(B)
     rng = np.random.default_rng(seed)
     scale = math.sqrt(B / d) if B > 0 else 0.0
     q = rng.uniform(0.0, scale, (n, d))

@@ -9,10 +9,9 @@ feature map of rank C(d+g, g): for rows u, w in R^d,
 ``gradient_fast`` never forms the rank-k1 factors of the softmax
 matrix: it reduces the key side once to a k1 x (d+1)**2 sum, then
 streams query rows in blocks, at cost O(n d**2 k1) and memory
-O(n d + k1 d**2 + FEATURE_ENTRIES). The explicit factors
-(``oracles.lowrank_softmax_factors``) and the factorizations of the
-chain's links (``oracles.factor_chain``) are the reference the fused
-contraction is checked against.
+O(n d + k1 d**2 + FEATURE_ENTRIES). Its reference is
+``oracles.taylor_gradient``, the exact chain on the dense kernel
+P_g(A1 X A2^T / d), which it matches to rounding at the same degree.
 
 Degree selection uses the explicit Taylor remainder bound
 exp(B**2) (B**2)^(g+1) / (g+1)! rather than an asymptotic formula, so

@@ -10,22 +10,23 @@ Two oracles for the exact chain:
   n x d**2 blocks of the lifted matrix (A1 (x) A2) / d.
 
 Both are deliberately slow and capped to small instances. For the
-low-rank chain, ``lowrank_softmax_factors`` builds the explicit rank-k1
-softmax factors and ``factor_chain`` the factorization of every link
-from them, op by op: the reference for the fused contraction in
-``gradient_fast``.
+low-rank chain, ``taylor_gradient`` runs the exact chain on dense n x n
+matrices (``compute_softmax``, ``compute_p``) with exp replaced by its
+degree-g Taylor polynomial. ``gradient_fast`` evaluates that same
+function through a rank-k1 factorization, so at its own degree the two
+agree to rounding. It shares no code with ``lowrank``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 
-from .core import check_positive, kron, row_kronecker
+from .core import check_positive, kron
 from .forward import AttentionInstance, compute_exp_matrix, compute_softmax, loss
-from .gradient import GradientResult, _result
-from .lowrank import PolyConfig, _features, _poly_config
+from .gradient import GradientResult, _result, compute_p
 
 # brute path is O(n**2 d**3); keep it honest about its intended scale
 BRUTE_N_CAP = 16
@@ -82,45 +83,16 @@ def brute_kron_gradient(
     return _result(g.reshape(d, d), "brute_kron", t0)
 
 
-def lowrank_softmax_factors(
-    inst: AttentionInstance, eps: float,
-) -> tuple[np.ndarray, np.ndarray, PolyConfig]:
-    """Rank-k1 factorization U1 V1^T of the softmax matrix f, returned
-    as ``(U1, V1, config)``.
-
-    Rows of the unnormalized left factor are phi((A1 X)_j); rows of V1
-    are phi((A2)_j); the row sums of the approximate kernel normalize
-    U1, so rows of U1 V1^T sum to one exactly up to rounding. Never
-    touches an n x n matrix.
-    """
-    cfg = _poly_config(inst, eps)
-    u_raw = _features(inst.A1 @ inst.X, cfg).T
-    v1 = _features(inst.A2, cfg).T
-    alpha = u_raw @ v1.sum(axis=0)
-    if (alpha <= 0.0).any():
-        raise ValueError("approximation destroyed row sums; decrease eps or use gradient_exact")
-    return u_raw / alpha[:, None], v1, cfg
-
-
-def factor_chain(
-    u1: np.ndarray, v1: np.ndarray, h: np.ndarray, E: np.ndarray,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Factor pairs (U, V) with target ~= U V^T for every link of the
-    gradient chain, from softmax factors f ~= U1 V1^T:
-
-        q   U2 = [U1 | -E],        V2 = [h W^T | h],  W = V1^T h
-        p1  U3 = U1 (row-kron) U2, V3 = V1 (row-kron) V2   (f * q)
-        p2  U4 = diag(r) U1,       V4 = V1,  r_j = <f_j, q_j>
-
-    The p1 pair has rank k1 (k1 + d), so this suits small ranks only.
-    """
-    w = v1.T @ h
-    u2 = np.hstack([u1, -E])
-    v2 = np.hstack([h @ w.T, h])
-    r = ((u1 @ (v1.T @ v2)) * u2).sum(axis=1)
-    return {
-        "f": (u1, v1),
-        "q": (u2, v2),
-        "p1": (row_kronecker(u1, u2), row_kronecker(v1, v2)),
-        "p2": (r[:, None] * u1, v1),
-    }
+def taylor_gradient(inst: AttentionInstance, g: int) -> GradientResult:
+    """A1^T compute_p(ft, c h^T) A2 / d with ft the softmax rows of the
+    dense kernel P_g(A1 X A2^T / d) and c = ft h - E; ``info["loss"]``
+    is 0.5 ||c||_F^2. O(n**2 (d + g)) time and O(n**2) memory."""
+    if g < 0:
+        raise ValueError(f"degree g must be nonnegative, got {g}")
+    t0 = time.perf_counter()
+    s = inst.A1 @ inst.X @ inst.A2.T / inst.d
+    f, _ = compute_softmax(sum(s ** l / math.factorial(l) for l in range(g + 1)))
+    h = inst.A3 @ inst.Y
+    c = f @ h - inst.E
+    G = inst.A1.T @ compute_p(f, c @ h.T) @ inst.A2 / inst.d
+    return _result(G, "taylor", t0, {"loss": 0.5 * float((c * c).sum())})

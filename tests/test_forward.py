@@ -173,6 +173,15 @@ def test_instance_validates_shapes_and_finiteness():
         AttentionInstance(A1=np.ones((2, 1)), A2=np.ones((2, 1)),
                           A3=bad, E=np.zeros((2, 1)),
                           X=np.ones((1, 1)), Y=np.ones((1, 1)), B=1.0)
+    # empty instances are refused by shape, not by a numpy reduction
+    with pytest.raises(ValueError, match=r"A1 has shape \(0, 2\); n and d must be positive"):
+        AttentionInstance(A1=np.ones((0, 2)), A2=np.ones((0, 2)),
+                          A3=np.ones((0, 2)), E=np.zeros((0, 2)),
+                          X=np.ones((2, 2)), Y=np.ones((2, 2)), B=1.0)
+    with pytest.raises(ValueError, match=r"A1 has shape \(3, 0\); n and d must be positive"):
+        AttentionInstance(A1=np.ones((3, 0)), A2=np.ones((3, 0)),
+                          A3=np.ones((3, 0)), E=np.zeros((3, 0)),
+                          X=np.ones((0, 0)), Y=np.ones((0, 0)), B=1.0)
 
 
 def test_block_boundaries_match_dense_reference(monkeypatch):

@@ -67,6 +67,8 @@ def test_hard_instance_validation():
             HardInstance(A=np.zeros((2, 2)), V=np.zeros((2, 1)), B=B)
         with pytest.raises(ValueError, match=f"nonnegative and finite, got {B}"):
             factorized_hard_instance(8, 2, B)
+        with pytest.raises(ValueError, match=f"nonnegative and finite, got {B}"):
+            gen_hard_instance(8, 2, B)
 
 
 def test_f_lambda_at_zero_closed_form():

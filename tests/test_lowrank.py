@@ -1,5 +1,6 @@
-"""Low-rank fast path: degree selection, the monomial feature map, the
-factor chain, and the assembled near-linear gradient."""
+"""Low-rank fast path: degree selection, the monomial feature map, and
+the streamed near-linear gradient against its dense Taylor-kernel
+reference."""
 
 import math
 import tracemalloc
@@ -18,7 +19,8 @@ from attngrad.lowrank import (
     select_degree,
     taylor_remainder,
 )
-from attngrad.oracles import factor_chain, lowrank_softmax_factors
+from attngrad.hardness import factorized_hard_instance, hard_attention_instance
+from attngrad.oracles import brute_kron_gradient, taylor_gradient
 
 
 def uniform_softmax_instance(n, d, seed, b_label=1.0):
@@ -84,29 +86,6 @@ def test_feature_map_inner_product_identity(seed):
     assert abs(feature_map(q, cfg) @ feature_map(k, cfg) - poly) <= 1e-12
 
 
-def test_softmax_factors_rank_one_at_zero_bound():
-    inst = uniform_softmax_instance(16, 3, seed=0)
-    u1, v1, cfg = lowrank_softmax_factors(inst, eps=1e-6)
-    assert cfg.m_feat == 1 and cfg.g == 0
-    assert np.array_equal(v1, np.ones((16, 1)))
-    assert np.abs(u1 - 1.0 / 16).max() <= 1e-16
-    f, _ = compute_softmax(compute_exp_matrix(inst))
-    assert np.abs(u1 @ v1.T - f).max() <= 1e-15
-
-
-def test_softmax_factors_accuracy():
-    inst = random_instance(64, 4, 0.8, seed=1)
-    u1, v1, _ = lowrank_softmax_factors(inst, eps=1e-4)
-    f, _ = compute_softmax(compute_exp_matrix(inst))
-    assert np.abs(u1 @ v1.T - f).max() <= 1e-4
-
-
-def test_softmax_factors_rows_sum_to_one():
-    inst = random_instance(32, 3, 0.9, seed=2)
-    u1, v1, _ = lowrank_softmax_factors(inst, eps=1e-3)
-    assert np.abs((u1 @ v1.T).sum(1) - 1.0).max() <= 1e-12
-
-
 def test_softmax_factors_destroyed_row_sums():
     # forces an odd truncation degree whose polynomial is negative at
     # the far end of [-B^2, B^2], so approximated row sums go negative
@@ -121,9 +100,9 @@ def test_softmax_factors_destroyed_row_sums():
     eps = epsp * 8 * 1 / math.exp(-2 * B * B)
     advice = "destroyed row sums; decrease eps or use gradient_exact"
     with pytest.raises(ValueError, match=advice):
-        lowrank_softmax_factors(inst, eps)
-    with pytest.raises(ValueError, match=advice):
         gradient_fast(inst, eps)
+    with pytest.raises(ValueError, match="nonpositive row sum"):
+        taylor_gradient(inst, 19)
 
 
 def test_fast_path_refuses_underflowing_target():
@@ -137,130 +116,51 @@ def test_fast_path_refuses_underflowing_target():
         gradient_fast(inst, 1e-2)
 
 
-def build_chain(inst, eps):
-    """Softmax factors from the production path, then the explicit
-    lemma chain on top of them."""
-    u1, v1, _ = lowrank_softmax_factors(inst, eps)
-    h = inst.A3 @ inst.Y
-    return factor_chain(u1, v1, h, inst.E), h
+def force_degree(monkeypatch, g):
+    """Make gradient_fast use degree g whatever eps asks for."""
+    def select(B, eps_prime, d):
+        return PolyConfig(B=B, eps_prime=eps_prime, g=g, d=d, m_feat=math.comb(d + g, g))
+    monkeypatch.setattr(lowrank, "select_degree", select)
 
 
-def product(pair):
-    u, v = pair
-    return u @ v.T
+def hard_instance(n, d, B, lam, seed):
+    hi, q, k = factorized_hard_instance(n, d, B, seed=seed)
+    return hard_attention_instance(q, k, hi.V, lam)
 
 
-def test_q_factors_shapes_and_exact_fit():
-    inst = random_instance(24, 3, 0.7, seed=3)
-    u1, v1, _ = lowrank_softmax_factors(inst, 1e-4)
-    h = inst.A3 @ inst.Y
-    e_fit = u1 @ (v1.T @ h)
-    u2, v2 = factor_chain(u1, v1, h, e_fit)["q"]
-    assert u2.shape[1] == v2.shape[1] == u1.shape[1] + inst.d
-    assert np.abs(u2 @ v2.T).max() <= 1e-12
+REFERENCE_INSTANCES = {
+    "random-B0.8": random_instance(64, 4, 0.8, seed=21),
+    "random-B1.5": random_instance(64, 4, 1.5, seed=22),
+    "hard-lam1": hard_instance(64, 4, 2.0, 1.0, seed=23),
+}
 
 
-def test_q_factors_error_bound():
-    inst = random_instance(64, 4, 0.8, seed=4)
-    chain, h = build_chain(inst, 1e-4)
-    u1, v1 = chain["f"]
-    f, _ = compute_softmax(compute_exp_matrix(inst))
-    c = f @ h - inst.E
-    q = c @ h.T
-    err_f = np.abs(u1 @ v1.T - f).max()
-    c_tilde = u1 @ (v1.T @ h) - inst.E
-    err_c = np.abs(c_tilde - c).max()
-    err_q = np.abs(product(chain["q"]) - q).max()
-    h_inf = np.abs(h).max()
-    assert err_c <= inst.n * h_inf * err_f + 1e-15
-    assert err_q <= inst.d * h_inf * err_c + 1e-15
+@pytest.mark.parametrize("g", range(5))
+@pytest.mark.parametrize("name", REFERENCE_INSTANCES)
+def test_gradient_fast_matches_taylor_reference(monkeypatch, name, g):
+    # at the same degree the streamed chain and the dense P_g kernel
+    # compute one function; both miss gradient_exact by far more
+    inst = REFERENCE_INSTANCES[name]
+    force_degree(monkeypatch, g)
+    fast = gradient_fast(inst, 1e-2)
+    ref = taylor_gradient(inst, g)
+    assert fast.info["degree"] == g and ref.method == "taylor"
+    scale = np.abs(ref.G).max()
+    assert np.abs(fast.G - ref.G).max() <= 1e-12 * scale
+    assert abs(fast.info["loss"] - ref.info["loss"]) <= 1e-12 * ref.info["loss"]
+    assert np.abs(fast.G - gradient_exact(inst).G).max() > 1e-9 * scale
 
 
-def test_p1_factors_zero_q():
-    inst = random_instance(8, 2, 0.5, seed=6)
-    u1, v1, _ = lowrank_softmax_factors(inst, 1e-3)
-    chain = factor_chain(u1, v1, np.zeros((8, 2)), np.zeros((8, 2)))
-    assert np.abs(product(chain["p1"])).max() == 0.0
-
-
-def test_p1_factors_match_entrywise_product():
-    inst = random_instance(32, 3, 0.8, seed=7)
-    chain, h = build_chain(inst, 1e-2)
-    u3, v3 = chain["p1"]
-    k1, k2 = chain["f"][0].shape[1], chain["q"][0].shape[1]
-    assert u3.shape[1] == v3.shape[1] == k1 * k2
-    f_tilde = product(chain["f"])
-    q_tilde = product(chain["q"])
-    assert np.abs(u3 @ v3.T - f_tilde * q_tilde).max() <= 1e-12
-
-
-def test_p1_factors_error_vs_exact():
-    inst = random_instance(64, 3, 0.8, seed=8)
-    chain, h = build_chain(inst, 1e-2)
-    f, _ = compute_softmax(compute_exp_matrix(inst))
-    q = (f @ h - inst.E) @ h.T
-    f_tilde = product(chain["f"])
-    err_f = np.abs(f_tilde - f).max()
-    err_q = np.abs(product(chain["q"]) - q).max()
-    scale = max(np.abs(q).max(), np.abs(f_tilde).max())
-    assert np.abs(product(chain["p1"]) - f * q).max() <= (err_f + err_q) * scale + 1e-15
-
-
-def test_p2_factors_zero_q():
-    inst = random_instance(8, 2, 0.5, seed=10)
-    u1, v1, _ = lowrank_softmax_factors(inst, 1e-3)
-    chain = factor_chain(u1, v1, np.zeros((8, 2)), np.zeros((8, 2)))
-    assert np.abs(chain["p2"][0]).max() == 0.0
-
-
-def test_p2_row_dots_identity():
-    inst = random_instance(32, 3, 0.8, seed=11)
-    chain, h = build_chain(inst, 1e-4)
-    (u1, v1), (u2, v2) = chain["f"], chain["q"]
-    r = ((u1 @ (v1.T @ v2)) * u2).sum(1)
-    f_tilde = u1 @ v1.T
-    q_tilde = u2 @ v2.T
-    assert np.abs(r - (f_tilde * q_tilde).sum(1)).max() <= 1e-12
-
-
-def test_p2_factors_error_vs_exact():
-    inst = random_instance(64, 4, 0.8, seed=12)
-    chain, h = build_chain(inst, 1e-4)
-    u4, v4 = chain["p2"]
-    assert u4.shape[1] == v4.shape[1] == chain["f"][0].shape[1]
-    f, _ = compute_softmax(compute_exp_matrix(inst))
-    q = (f @ h - inst.E) @ h.T
-    p2_exact = (f * q).sum(1)[:, None] * f
-    assert np.abs(u4 @ v4.T - p2_exact).max() <= 1e-6
-
-
-def test_exactness_chain_at_zero_bound():
-    # with a vanishing exp argument every factor product hits its
-    # target: f, q, p1 = f * q, and p2 = diag(r) f
-    inst = uniform_softmax_instance(32, 3, seed=20)
-    chain, h = build_chain(inst, 1e-8)
-    f, _ = compute_softmax(compute_exp_matrix(inst))
-    q = (f @ h - inst.E) @ h.T
-    p1 = f * q
-    p2 = (f * q).sum(1)[:, None] * f
-    assert np.abs(product(chain["f"]) - f).max() <= 1e-12
-    assert np.abs(product(chain["q"]) - q).max() <= 1e-12
-    assert np.abs(product(chain["p1"]) - p1).max() <= 1e-12
-    assert np.abs(product(chain["p2"]) - p2).max() <= 1e-12
-
-
-def test_factored_assembly_matches_gradient_fast():
-    # the op-by-op factor chain and the fused contraction in
-    # gradient_fast evaluate the same factorization
-    inst = random_instance(48, 3, 0.8, seed=13)
-    eps = 1e-3
-    chain, h = build_chain(inst, eps)
-    (u3, v3), (u4, v4) = chain["p1"], chain["p2"]
-    G = (inst.A1.T @ u3) @ (v3.T @ inst.A2)
-    G -= (inst.A1.T @ u4) @ (v4.T @ inst.A2)
-    G /= inst.d
-    res = gradient_fast(inst, eps)
-    assert np.abs(res.g - G.ravel()).max() <= 1e-12
+def test_taylor_reference_is_exact_gradient_at_high_degree():
+    # once P_g = exp to 1e-16 on [-B^2, B^2] the reference is the exact
+    # gradient, checked against the brute-force lifted assembly
+    inst = random_instance(16, 4, 0.8, seed=24)
+    g = next(g for g in range(40) if taylor_remainder(inst.B, g) <= 1e-16)
+    ref = taylor_gradient(inst, g)
+    assert np.abs(ref.G - brute_kron_gradient(inst).G).max() <= 1e-10
+    assert abs(ref.info["loss"] - loss(inst)[0]) <= 1e-12
+    with pytest.raises(ValueError, match="nonnegative"):
+        taylor_gradient(inst, -1)
 
 
 def test_block_boundaries_agree(monkeypatch):
@@ -321,12 +221,16 @@ def test_gradient_fast_small_at_optimum():
 
 
 def test_error_monotone_in_eps():
+    # the softmax of the dense P_g kernel at the degree gradient_fast picks
     inst = random_instance(64, 4, 0.8, seed=18)
     f, _ = compute_softmax(compute_exp_matrix(inst))
+    s = inst.A1 @ inst.X @ inst.A2.T / inst.d
     errs = []
     for eps in (1e-2, 5e-3, 2.5e-3, 1e-4, 1e-6, 1e-8):
-        u1, v1, _ = lowrank_softmax_factors(inst, eps)
-        errs.append(np.abs(u1 @ v1.T - f).max())
+        g = gradient_fast(inst, eps).info["degree"]
+        ft, _ = compute_softmax(sum(s ** l / math.factorial(l) for l in range(g + 1)))
+        errs.append(np.abs(ft - f).max())
+        assert errs[-1] <= eps
     for a, b in zip(errs, errs[1:]):
         assert b <= a + 1e-15
 
