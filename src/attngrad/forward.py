@@ -10,11 +10,12 @@ and the training objective is L(X) = 0.5 * ||f(X) h(Y) - E||_F^2.
 
 The production softmax, ``softmax_blocks``, streams f in row blocks of
 at most ``BLOCK_ENTRIES`` entries, unnormalized: each block is
-e = exp(scores), shifted by its row maxima only where the score bound
-exceeds ``SHIFT_FREE_BOUND``, with its row sums alpha, so f = e / alpha
-and any entry bound B >= 0 is computable in O(n d + BLOCK_ENTRIES)
-memory. All blocks share one buffer. ``forward`` writes (e h) / alpha
-and never normalizes e. ``compute_exp_matrix`` and ``compute_softmax``
+e = exp_rows(scores, T) with its row sums alpha, so f = e / alpha and
+any entry bound B >= 0 is computable in O(n d + BLOCK_ENTRIES) memory.
+T is the score bound an immutable ``AttentionInstance`` measures once,
+and ``exp_rows`` owns the one exp-shift rule, shared with the hardness
+lab. All blocks share one buffer. ``forward`` writes (e h) / alpha and
+never normalizes e. ``compute_exp_matrix`` and ``compute_softmax``
 build the dense, unshifted matrices as the reference the tests and the
 brute-force oracle use.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,13 +48,13 @@ _BOUND_SLACK = 1e-9
 _MATRIX_FILES = ("A1", "A2", "A3", "E", "X", "Y")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttentionInstance:
-    """One attention optimization problem.
+    """One attention optimization problem, immutable once validated.
 
     A1, A2, A3, E are n x d (n, d >= 1); X, Y are d x d; B bounds both
-    ``max|A1 @ X|`` and ``max|A2|`` so that every entry of
-    ``A1 X A2^T / d`` lies in [-B**2, B**2].
+    ``max|A1 @ X|`` and ``max|A2|``. Their product, measured here as
+    ``score_bound`` T <= B**2, bounds every |entry| of ``A1 X A2^T / d``.
     """
 
     A1: np.ndarray
@@ -63,6 +64,7 @@ class AttentionInstance:
     X: np.ndarray
     Y: np.ndarray
     B: float
+    score_bound: float = field(init=False)
 
     def __post_init__(self):
         for name in _MATRIX_FILES:
@@ -70,7 +72,7 @@ class AttentionInstance:
             if arr.ndim != 2:
                 raise ValueError(f"{name} must be a matrix, got shape {arr.shape}")
             check_finite(arr, name)
-            setattr(self, name, arr)
+            object.__setattr__(self, name, arr)
         n, d = self.A1.shape
         if n < 1 or d < 1:
             raise ValueError(f"A1 has shape {self.A1.shape}; n and d must be positive")
@@ -95,6 +97,7 @@ class AttentionInstance:
         a2 = np.abs(self.A2).max()
         if a2 > tol:
             raise ValueError(f"max|A2| = {a2:.6g} exceeds B = {self.B:.6g}")
+        object.__setattr__(self, "score_bound", float(a1x * a2))
 
     @property
     def n(self) -> int:
@@ -132,30 +135,34 @@ def compute_softmax(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m / alpha[:, None], alpha
 
 
+def exp_rows(w: np.ndarray, bound: float) -> np.ndarray:
+    """exp(w) in place for scores w in [-bound, bound]: entries lie in
+    [e^-bound, e^bound] up to ``SHIFT_FREE_BOUND``; above it each row is
+    first shifted by its maximum to 0, which cancels in every quotient."""
+    if bound > SHIFT_FREE_BOUND:
+        w -= w.max(axis=1, keepdims=True)
+    return np.exp(w, out=w)
+
+
 def softmax_blocks(inst: AttentionInstance, x: np.ndarray | None = None):
     """Yield ``(rows, e, alpha)`` over consecutive row slices of the
     softmax matrix f(X), ``max(1, BLOCK_ENTRIES // n)`` rows at a time,
     with ``f[rows] = e / alpha``.
 
-    ``e`` is exp((A1 X / d)[rows] A2^T), ``alpha`` its row sums as a
-    column. The score bound T = max|A1 X| max|A2| is taken per call, so
-    it holds for an unvalidated ``x`` in place of X. Up to
-    ``SHIFT_FREE_BOUND`` ``e`` lies in [e^-T, e^T]; above it each row
-    is shifted by its maximum to 1, so ``alpha`` lies in [1, n]. ``e``
-    is one buffer that the next block overwrites: use it first.
+    ``e`` is ``exp_rows`` of (A1 X / d)[rows] A2^T, ``alpha`` its row
+    sums as a column. Its bound T is ``inst.score_bound``, measured again
+    only for an override ``x``, which validation never saw. ``e`` is one
+    buffer that the next block overwrites: use it first.
     """
     n = inst.n
     a1x = inst.A1 @ (inst.X if x is None else x) / inst.d
     a2t = np.ascontiguousarray(inst.A2.T)
-    bound = inst.d * np.abs(a1x).max() * np.abs(a2t).max()
+    bound = inst.score_bound if x is None else inst.d * np.abs(a1x).max() * np.abs(a2t).max()
     step = max(1, BLOCK_ENTRIES // n)
     buf = np.empty((min(step, n), n))
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
-        e = np.matmul(a1x[rows], a2t, out=buf[:rows.stop - start])
-        if bound > SHIFT_FREE_BOUND:
-            e -= e.max(axis=1, keepdims=True)
-        np.exp(e, out=e)
+        e = exp_rows(np.matmul(a1x[rows], a2t, out=buf[:rows.stop - start]), bound)
         yield rows, e, e.sum(axis=1, keepdims=True)
 
 

@@ -13,9 +13,9 @@ derivative bound, the left-Riemann-sum recovery of f(1) - f(0) from m
 derivative samples, and the identity tying f'(lambda) to the trace of
 the attention-loss gradient at X = lambda d I.
 
-Where |lambda| B exceeds ``forward.SHIFT_FREE_BOUND``, the per-row
-exponential sums are rescaled by the row maximum of lambda * A before
-exponentiation; the a/b quotients are scale invariant, so results are
+The per-row exponential sums take exp(lambda A) from ``forward.exp_rows``
+under the bound |lambda| B, so rows are rescaled by their maxima where
+it is large; the a/b quotients are scale invariant, so results are
 unchanged while lambda * B up to a few hundred stays computable.
 """
 
@@ -28,7 +28,7 @@ from itertools import islice
 import numpy as np
 
 from .core import check_finite
-from .forward import SHIFT_FREE_BOUND, AttentionInstance
+from .forward import AttentionInstance, exp_rows
 from .gradient import gradient_exact
 
 _ENTRY_SLACK = 1e-12
@@ -37,6 +37,11 @@ _ENTRY_SLACK = 1e-12
 def _check_bound(B: float) -> None:
     if not 0.0 <= B < math.inf:
         raise ValueError(f"B must be nonnegative and finite, got {B}")
+
+
+def _check_shape(n: int, d: int) -> None:
+    if n < 1 or d < 1:
+        raise ValueError(f"n and d must be positive, got n={n}, d={d}")
 
 
 @dataclass
@@ -59,6 +64,7 @@ class HardInstance:
             raise ValueError(f"A must be square, got shape {self.A.shape}")
         if self.V.ndim != 2 or self.V.shape[0] != self.A.shape[0]:
             raise ValueError(f"V must have {self.A.shape[0]} rows, got {self.V.shape}")
+        _check_shape(*self.V.shape)
         check_finite(self.A, "A")
         _check_bound(self.B)
         lo, hi = self.A.min(), self.A.max()
@@ -86,8 +92,7 @@ def gen_hard_instance(
     """Sample a hard instance: per row, ceil(frac_b * n) uniformly chosen
     positions are set to B exactly and the rest drawn uniform on [0, B];
     V is iid Bernoulli(1/2). Deterministic under ``seed``."""
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
+    _check_shape(n, d)
     if not 0.5 <= frac_b <= 1.0:
         raise ValueError("frac_b must be in [0.5, 1]")
     _check_bound(B)
@@ -106,15 +111,12 @@ def _row_terms(hi: HardInstance, lam: float):
 
     Yields (s_k, t_k) for k = 0, 1, 2, ...: s_k[i, l] is
     sum_{j in S_l} A[i,j]**k * exp(lam*A[i,j] - shift[i]) and t_k[i]
-    the same sum over all j; shift[i], 0 or the row max of lam*A above
-    ``SHIFT_FREE_BOUND``, cancels in every quotient. Each n x n multiply
+    the same sum over all j; shift[i], 0 or the row max of lam*A as
+    ``exp_rows`` decides, cancels in every quotient. Each n x n multiply
     adds a moment, so callers draw only the moments they use.
     """
     # one n x n buffer, scaled by A in place between moments
-    w = lam * hi.A
-    if abs(lam) * hi.B > SHIFT_FREE_BOUND:
-        w -= w.max(axis=1)[:, None]
-    np.exp(w, out=w)
+    w = exp_rows(lam * hi.A, abs(lam) * hi.B)
     while True:
         yield w @ hi.V, w.sum(1)
         w *= hi.A
@@ -185,6 +187,7 @@ def factorized_hard_instance(
     entrywise in [0, sqrt(B/d)], so A lands in [0, B]. The exact
     half-the-row-equals-B structure is not enforced here; these feed
     the gradient-to-forward consistency check."""
+    _check_shape(n, d)
     _check_bound(B)
     rng = np.random.default_rng(seed)
     scale = math.sqrt(B / d) if B > 0 else 0.0

@@ -13,13 +13,13 @@ O(n d + k1 d**2 + FEATURE_ENTRIES). Its reference is
 ``oracles.taylor_gradient``, the exact chain on the dense kernel
 P_g(A1 X A2^T / d), which it matches to rounding at the same degree.
 
-Degree selection uses the explicit Taylor remainder bound
-exp(B**2) (B**2)^(g+1) / (g+1)! rather than an asymptotic formula, so
-it is computable and conservative; the entrywise target eps_prime is
-derived from the caller's gradient tolerance eps as
-eps * exp(-2 B**2) / (8 d), a rule validated empirically against the
-exact path (measured end-to-end error sits orders of magnitude below
-eps across the tested range). The rank k1 is capped at ``RANK_CAP``.
+Degree selection, for the effective B = sqrt(T) of the score bound T
+that ``AttentionInstance`` measures (X = 0 gives rank one), uses the
+Taylor remainder bound exp(B**2) (B**2)^(g+1) / (g+1)!, computable and
+conservative, against the entrywise target
+eps_prime = eps * exp(-2 B**2) / (8 d) for a gradient tolerance eps
+(measured end-to-end error sits orders of magnitude below eps); a target
+below float64 rounding at e^T is refused. k1 is capped at ``RANK_CAP``.
 """
 
 from __future__ import annotations
@@ -127,26 +127,16 @@ def default_eps_prime(eps: float, B: float, d: int) -> float:
     return eps * math.exp(-2.0 * B * B) / (8.0 * d)
 
 
-def effective_bound(inst: AttentionInstance) -> float:
-    """sqrt(max|A1 X| * max|A2|) <= B bounds the actual exp arguments;
-    using it instead of B shrinks the degree when X is small (and makes
-    X = 0 instances exactly rank one)."""
-    a1x = np.abs(inst.A1 @ inst.X).max()
-    a2 = np.abs(inst.A2).max()
-    return float(np.sqrt(a1x * a2))
-
-
 def _poly_config(inst: AttentionInstance, eps: float) -> PolyConfig:
-    """Degree and rank of the fast path for ``inst`` at gradient tolerance eps."""
+    """Degree and rank of the fast path at gradient tolerance eps, for
+    B = sqrt(T); refused where 3T > log(eps / (8d 2^-52)), taken in logs."""
     check_positive(eps, "eps")
-    b_eff = effective_bound(inst)
-    eps_prime = default_eps_prime(eps, b_eff, inst.d)
-    if eps_prime == 0.0:
+    b_eff = math.sqrt(inst.score_bound)
+    if 3.0 * inst.score_bound > math.log(eps / (8.0 * inst.d * 2.0 ** -52)):
         raise ValueError(
             f"effective B={b_eff:.6g} is too large for the fast path: its entrywise "
-            "target underflows to 0; reduce B or use gradient_exact"
-        )
-    return select_degree(b_eff, eps_prime, inst.d)
+            "target lies below float64 rounding; reduce B or use gradient_exact")
+    return select_degree(b_eff, default_eps_prime(eps, b_eff, inst.d), inst.d)
 
 
 def gradient_fast(inst: AttentionInstance, eps: float) -> GradientResult:

@@ -12,7 +12,7 @@ import pytest
 import attngrad
 from attngrad.cli import main
 from attngrad.core import read_matrix
-from attngrad.forward import load_instance
+from attngrad.forward import AttentionInstance, load_instance, save_instance
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +232,19 @@ def test_empty_inputs_exit_one(capsys, tmp_path, argv, message):
     code, stdout, stderr = run_cli(capsys, *argv)
     assert code == 1 and stdout == ""
     assert message in stderr
+
+
+def test_fast_grad_past_the_float64_range_exits_one(capsys, tmp_path):
+    # d = 1, B = 10: the fast path's target lies below float64 rounding;
+    # the command must name the effective B instead of raising
+    ones, tens = np.ones((4, 1)), np.full((4, 1), 10.0)
+    save_instance(AttentionInstance(A1=tens, A2=tens, A3=ones, E=ones, X=[[1.0]],
+                                    Y=[[1.0]], B=10.0), tmp_path / "inst")
+    code, stdout, stderr = run_cli(capsys, "grad", "--in", str(tmp_path / "inst"),
+                                   "--method", "fast", "--eps", "1e-2")
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("attngrad grad: error: effective B=10 ")
+    assert "Traceback" not in stderr
 
 
 def test_bench_zero_repeats_exits_one(capsys):

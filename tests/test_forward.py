@@ -154,6 +154,20 @@ def test_score_overflow_refused():
                           X=[[1.0]], Y=[[1.0]], B=1e160)
 
 
+def test_instance_is_frozen_with_its_measured_score_bound():
+    inst = random_instance(20, 3, 0.9, seed=4)
+    assert inst.score_bound == np.abs(inst.A1 @ inst.X).max() * np.abs(inst.A2).max()
+    for name in ("A1", "A2", "A3", "E", "X", "Y", "B", "score_bound"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inst, name, getattr(inst, name))
+    # replace builds a new instance, validated and measured again
+    moved = dataclasses.replace(inst, X=2 * inst.X, B=2 * inst.B)
+    assert moved.score_bound == np.abs(moved.A1 @ moved.X).max() * np.abs(moved.A2).max()
+    assert moved.score_bound == 2 * inst.score_bound
+    with pytest.raises(ValueError, match="exceeds B"):
+        dataclasses.replace(inst, X=2 * inst.X)
+
+
 def test_large_entry_bound_is_computable():
     # exponents reach B**2 = 1600, far past the float64 exp range
     inst = random_instance(4, 2, 40.0, seed=0)
@@ -208,15 +222,11 @@ def _dense_reference(inst):
     return f, f @ h, inst.A1.T @ compute_p(f, c @ h.T) @ inst.A2 / inst.d
 
 
-def _score_bound(inst):
-    return np.abs(inst.A1 @ inst.X).max() * np.abs(inst.A2).max()
-
-
 def test_softmax_blocks_yield_unnormalized_rows(monkeypatch):
     # below the bound each block is exp(scores), unshifted; n = 50 in
     # blocks of 7 rows, the last one ragged (1 row)
     inst = random_instance(50, 3, 0.9, seed=13)
-    t = _score_bound(inst)
+    t = inst.score_bound
     assert t <= forward_module.SHIFT_FREE_BOUND
     m = compute_exp_matrix(inst)
     f, fh, dense_G = _dense_reference(inst)
@@ -236,7 +246,7 @@ def test_softmax_blocks_yield_unnormalized_rows(monkeypatch):
 def test_softmax_blocks_shift_rows_above_the_bound(monkeypatch):
     # B = 9 puts the score bound at 81: each row is shifted by its max
     inst = random_instance(50, 3, 9.0, seed=13)
-    assert _score_bound(inst) > forward_module.SHIFT_FREE_BOUND
+    assert inst.score_bound > forward_module.SHIFT_FREE_BOUND
     f, fh, dense_G = _dense_reference(inst)
     monkeypatch.setattr(forward_module, "BLOCK_ENTRIES", 7 * inst.n)
     sizes = []

@@ -7,6 +7,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+import attngrad.forward as forward_module
 from attngrad import hardness
 from attngrad.hardness import (
     HardInstance,
@@ -69,6 +70,14 @@ def test_hard_instance_validation():
             factorized_hard_instance(8, 2, B)
         with pytest.raises(ValueError, match=f"nonnegative and finite, got {B}"):
             gen_hard_instance(8, 2, B)
+    # empty shapes are refused by name, not by a division or a numpy reduction
+    for call, n, d in ((lambda: factorized_hard_instance(4, 0, 1.0), 4, 0),
+                       (lambda: factorized_hard_instance(0, 2, 1.0), 0, 2),
+                       (lambda: gen_hard_instance(3, 0, 1.0), 3, 0),
+                       (lambda: HardInstance(A=np.zeros((0, 0)), V=np.zeros((0, 1)), B=1.0),
+                        0, 1)):
+        with pytest.raises(ValueError, match=f"n and d must be positive, got n={n}, d={d}"):
+            call()
 
 
 def test_f_lambda_at_zero_closed_form():
@@ -192,8 +201,8 @@ def test_row_shift_is_skipped_only_where_it_cancels(monkeypatch, lam):
     n, B = 64, 10.0
     hi = gen_hard_instance(n, 3, B, seed=23)
     values = f_lambda(hi, lam), *f_lambda_derivative(hi, lam)
-    bound = np.inf if abs(lam) * B > hardness.SHIFT_FREE_BOUND else -1.0
-    monkeypatch.setattr(hardness, "SHIFT_FREE_BOUND", bound)
+    bound = np.inf if abs(lam) * B > forward_module.SHIFT_FREE_BOUND else -1.0
+    monkeypatch.setattr(forward_module, "SHIFT_FREE_BOUND", bound)
     other = f_lambda(hi, lam), *f_lambda_derivative(hi, lam)
     for a, b, scale in zip(values, other, (values[0], n * B, n * B * B)):
         assert abs(a - b) <= 1e-14 * abs(scale)

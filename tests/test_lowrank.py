@@ -105,15 +105,38 @@ def test_softmax_factors_destroyed_row_sums():
         taylor_gradient(inst, 19)
 
 
+def cancelling_instance(b, seed):
+    """d = 1 instance whose scores reach -b**2 on half the rows, where
+    the Taylor polynomial loses everything to float64 cancellation."""
+    rng = np.random.default_rng(seed)
+    a1 = np.full((64, 1), -b)
+    a1[:32] = b * rng.uniform(-1.0, 1.0, (32, 1))
+    a2 = b * rng.uniform(0.0, 1.0, (64, 1))
+    a2[0] = b
+    return AttentionInstance(A1=a1, A2=a2, A3=rng.uniform(-1.0, 1.0, (64, 1)),
+                             E=rng.normal(size=(64, 1)), X=[[1.0]], Y=[[1.0]], B=b)
+
+
 def test_fast_path_refuses_underflowing_target():
-    # effective B = sqrt(708.9): exp(-2 B^2) underflows, so the entrywise
-    # target is 0 and the error must say what to change
-    b = np.sqrt(708.9)
-    inst = AttentionInstance(A1=np.full((4, 1), b), A2=np.full((4, 1), b),
-                             A3=np.ones((4, 1)), E=np.ones((4, 1)),
-                             X=[[1.0]], Y=[[1.0]], B=b)
-    with pytest.raises(ValueError, match=r"effective B=26\.6.*reduce B or use gradient_exact"):
-        gradient_fast(inst, 1e-2)
+    # the entrywise target eps e^(-2T) / (8d) lies below float64 rounding
+    # at e^T, and the error must say what to change
+    b, ten = np.sqrt(708.9), np.full((4, 1), 10.0)
+    cases = [
+        # effective B = sqrt(708.9): the target exp(-2 B^2) underflows to 0
+        (AttentionInstance(A1=np.full((4, 1), b), A2=np.full((4, 1), b), A3=np.ones((4, 1)),
+                           E=np.ones((4, 1)), X=[[1.0]], Y=[[1.0]], B=b), r"26\.6252"),
+        # the Taylor remainder t ** (g + 1) overflowed a Python float
+        (AttentionInstance(A1=ten, A2=ten, A3=np.ones((4, 1)), E=np.ones((4, 1)),
+                           X=[[1.0]], Y=[[1.0]], B=10.0), "10"),
+        # silently wrong before: misses of 0.47 against max|G| = 6.4 and
+        # of 0.18 against max|G| = 0.062
+        (cancelling_instance(5.5, 0), r"5\.5"),
+        (cancelling_instance(5.8, 1), r"5\.8"),
+    ]
+    for inst, label in cases:
+        with pytest.raises(ValueError,
+                           match=rf"effective B={label} is too large.*reduce B or use gradient_exact"):
+            gradient_fast(inst, 1e-2)
 
 
 def force_degree(monkeypatch, g):
@@ -211,6 +234,7 @@ def test_gradient_fast_accuracy():
     assert np.abs(res.g - gradient_exact(inst).g).max() <= 1e-4
     assert res.method == "fast"
     assert set(res.info) == {"degree", "eps_prime", "effective_B", "k1", "loss"}
+    assert res.info["effective_B"] == math.sqrt(inst.score_bound)
 
 
 def test_gradient_fast_small_at_optimum():
