@@ -111,8 +111,11 @@ def read_matrix(path) -> np.ndarray:
     Raises ValueError with the offending line number for malformed
     headers, unparseable or non-finite values, and wrong value counts.
     """
-    with open(path) as fh:
-        lines = fh.readlines()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a text matrix file: {exc}") from None
     if not lines:
         raise ValueError(f"{path}:1: empty file, expected 'rows cols' header")
     try:

@@ -12,19 +12,19 @@ The production softmax, ``softmax_blocks``, streams f in row blocks of
 at most ``BLOCK_ENTRIES`` entries, unnormalized: each block is
 e = exp_rows(scores, T) with its row sums alpha, so f = e / alpha and
 any entry bound B >= 0 is computable in O(n d + BLOCK_ENTRIES) memory.
-T is the score bound an immutable ``AttentionInstance`` measures once,
-and ``exp_rows`` owns the one exp-shift rule, shared with the hardness
-lab. All blocks share one buffer. ``forward`` writes (e h) / alpha and
-never normalizes e. ``compute_exp_matrix`` and ``compute_softmax``
-build the dense, unshifted matrices as the reference the tests and the
-brute-force oracle use.
+T is the score bound an immutable ``AttentionInstance`` measures once
+(``loss`` validates an override X as a new instance); ``exp_rows`` owns
+the one exp-shift rule, shared with the hardness lab. All blocks share
+one buffer. ``forward`` writes (e h) / alpha and never normalizes e.
+``compute_exp_matrix`` and ``compute_softmax`` build the dense,
+unshifted references the tests and the brute-force oracle use.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,25 +144,23 @@ def exp_rows(w: np.ndarray, bound: float) -> np.ndarray:
     return np.exp(w, out=w)
 
 
-def softmax_blocks(inst: AttentionInstance, x: np.ndarray | None = None):
+def softmax_blocks(inst: AttentionInstance):
     """Yield ``(rows, e, alpha)`` over consecutive row slices of the
     softmax matrix f(X), ``max(1, BLOCK_ENTRIES // n)`` rows at a time,
     with ``f[rows] = e / alpha``.
 
-    ``e`` is ``exp_rows`` of (A1 X / d)[rows] A2^T, ``alpha`` its row
-    sums as a column. Its bound T is ``inst.score_bound``, measured again
-    only for an override ``x``, which validation never saw. ``e`` is one
-    buffer that the next block overwrites: use it first.
+    ``e`` is ``exp_rows`` of (A1 X / d)[rows] A2^T with the bound
+    ``inst.score_bound``, ``alpha`` its row sums as a column. ``e`` is
+    one buffer that the next block overwrites: use it first.
     """
     n = inst.n
-    a1x = inst.A1 @ (inst.X if x is None else x) / inst.d
+    a1x = inst.A1 @ inst.X / inst.d
     a2t = np.ascontiguousarray(inst.A2.T)
-    bound = inst.score_bound if x is None else inst.d * np.abs(a1x).max() * np.abs(a2t).max()
     step = max(1, BLOCK_ENTRIES // n)
     buf = np.empty((min(step, n), n))
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
-        e = exp_rows(np.matmul(a1x[rows], a2t, out=buf[:rows.stop - start]), bound)
+        e = exp_rows(np.matmul(a1x[rows], a2t, out=buf[:rows.stop - start]), inst.score_bound)
         yield rows, e, e.sum(axis=1, keepdims=True)
 
 
@@ -172,13 +170,11 @@ def value_operands(inst: AttentionInstance) -> np.ndarray:
     return np.vstack((inst.Y.T @ inst.A3.T, np.ones(inst.n)))
 
 
-def forward(
-    inst: AttentionInstance, x_override: np.ndarray | None = None,
-) -> np.ndarray:
+def forward(inst: AttentionInstance) -> np.ndarray:
     """One attention layer: f(X) @ h(Y), an n x d matrix."""
     h = value_operands(inst)[:inst.d].T
     out = np.empty((inst.n, inst.d))
-    for rows, e, alpha in softmax_blocks(inst, x_override):
+    for rows, e, alpha in softmax_blocks(inst):
         out[rows] = (e @ h) / alpha
     return out
 
@@ -186,8 +182,11 @@ def forward(
 def loss(
     inst: AttentionInstance, x_override: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Loss L(X) = 0.5 ||f h - E||_F^2 and the residual c = f h - E."""
-    c = forward(inst, x_override) - inst.E
+    """Loss L(X) = 0.5 ||f h - E||_F^2 and the residual c = f h - E; an
+    override X is validated as a new instance with B >= max|A1 X|."""
+    if x_override is not None:
+        inst = replace(inst, X=x_override, B=max(inst.B, np.abs(inst.A1 @ x_override).max()))
+    c = forward(inst) - inst.E
     return 0.5 * float((c * c).sum()), c
 
 
@@ -222,8 +221,7 @@ def random_instance(
             raise ValueError("degenerate sample: A1 @ X vanished")
         x *= B / scale
     inst = AttentionInstance(A1=a1, A2=a2, A3=a3, E=np.zeros((n, d)), X=x, Y=y, B=B)
-    e = forward(inst) + noise_sigma * rng.standard_normal((n, d))
-    return AttentionInstance(A1=a1, A2=a2, A3=a3, E=e, X=x, Y=y, B=B)
+    return replace(inst, E=forward(inst) + noise_sigma * rng.standard_normal((n, d)))
 
 
 def save_instance(inst: AttentionInstance, out_dir, meta: dict | None = None) -> None:
@@ -244,8 +242,13 @@ def load_instance(in_dir) -> AttentionInstance:
     revalidating every invariant, including the ``n``/``d`` that
     ``meta.json`` records against the shape of A1."""
     meta_path = os.path.join(in_dir, "meta.json")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+    except ValueError as exc:      # JSONDecodeError and UnicodeDecodeError alike
+        raise ValueError(f"{meta_path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: expected a JSON object")
     if "B" not in meta:
         raise ValueError(f"{meta_path}: missing key 'B' (the entry bound)")
     try:

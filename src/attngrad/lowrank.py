@@ -67,19 +67,25 @@ def taylor_remainder(B: float, g: int) -> float:
 def select_degree(B: float, eps_prime: float, d: int) -> PolyConfig:
     """Smallest degree g whose Taylor remainder on [-B**2, B**2] is at
     most ``eps_prime``; errors out if the monomial count C(d+g, g)
-    would exceed ``RANK_CAP``."""
-    if B < 0.0 or eps_prime <= 0.0:
-        raise ValueError("need B >= 0 and eps_prime > 0")
+    would exceed ``RANK_CAP`` or the remainder bound overflows float64."""
+    if not 0.0 <= B < math.inf:
+        raise ValueError(f"B must be finite and nonnegative, got {B}")
+    if not eps_prime > 0.0:
+        raise ValueError(f"eps_prime must be positive, got {eps_prime}")
     if d < 1:
         raise ValueError("d must be positive")
     g = 0
-    while taylor_remainder(B, g) > eps_prime:
-        g += 1
-        if math.comb(d + g, g) > RANK_CAP:
-            raise ValueError(
-                f"rank blowup: degree {g} needs {math.comb(d + g, g)} features "
-                f"(cap {RANK_CAP}); reduce B or relax eps"
-            )
+    try:
+        while taylor_remainder(B, g) > eps_prime:
+            g += 1
+            if math.comb(d + g, g) > RANK_CAP:
+                raise ValueError(
+                    f"rank blowup: degree {g} needs {math.comb(d + g, g)} features "
+                    f"(cap {RANK_CAP}); reduce B or relax eps"
+                )
+    except OverflowError:
+        raise ValueError(f"B={B:.6g}: the Taylor remainder bound at degree {g} "
+                         "overflows float64; reduce B") from None
     return PolyConfig(B=B, eps_prime=eps_prime, g=g, d=d, m_feat=math.comb(d + g, g))
 
 

@@ -141,6 +141,21 @@ def test_verify_meta_without_bound_exits_one(capsys, tmp_path):
         assert not bad or f"got {bad['B']!r}" in stderr
 
 
+@pytest.mark.parametrize("name, content, message", [
+    ("meta.json", b"null", "expected a JSON object"),
+    ("meta.json", b"5", "expected a JSON object"),
+    ("meta.json", b"not json", "Expecting value: line 1 column 1"),
+    ("A1.mat", b"\xff\xfe2 2\n", "not a text matrix file"),
+])
+def test_grad_broken_instance_file_names_it(capsys, tmp_path, name, content, message):
+    out = gen_dir(capsys, tmp_path, "broken")
+    (out / name).write_bytes(content)
+    code, stdout, stderr = run_cli(capsys, "grad", "--in", str(out))
+    assert code == 1 and stdout == ""
+    assert stderr.startswith(f"attngrad grad: error: {out / name}: ")
+    assert message in stderr and "Traceback" not in stderr
+
+
 def test_bench_report_and_csv(capsys, tmp_path):
     csv_path = tmp_path / "bench.csv"
     code, stdout, _ = run_cli(capsys, "bench", "--sizes", "64,128", "--d", "2",

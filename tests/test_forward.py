@@ -278,6 +278,28 @@ def test_loss_override_past_the_bound_is_exact(scale):
     assert abs(value - ref) <= 1e-13 * ref
 
 
+@pytest.mark.parametrize("scale", [1.5, 100.0])
+def test_loss_override_is_the_replaced_instance(scale):
+    # max|A2| = 0.9, so the score bound is 0.81 scale: 1.2 stays below
+    # SHIFT_FREE_BOUND, 81 lies above it
+    inst = random_instance(50, 3, 0.9, seed=13)
+    x = scale * inst.X
+    replaced = dataclasses.replace(inst, X=x, B=float(np.abs(inst.A1 @ x).max()))
+    assert (replaced.score_bound > forward_module.SHIFT_FREE_BOUND) == (scale > 1.5)
+    value, c = loss(inst, x)
+    ref_value, ref_c = loss(replaced)
+    assert value == ref_value and np.array_equal(c, ref_c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_loss_refuses_a_nonfinite_override(bad):
+    inst = random_instance(12, 3, 0.9, seed=2)
+    x = inst.X.copy()
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite value in X"):
+        loss(inst, x)
+
+
 def test_row_sum_overflow_instance_is_exact():
     # every exponent is 708.9, inside the float64 exp range, but four of
     # them overflow an unshifted row sum; the max shift makes f uniform,

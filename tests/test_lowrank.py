@@ -59,6 +59,26 @@ def test_select_degree_rank_blowup():
         select_degree(5.0, 1e-12, 8)
 
 
+@pytest.mark.parametrize("B, eps_prime, message", [
+    (math.nan, 1e-6, "B must be finite and nonnegative, got nan"),
+    (math.inf, 1e-6, "B must be finite and nonnegative, got inf"),
+    (-1.0, 1e-6, "B must be finite and nonnegative, got -1.0"),
+    (1.0, math.nan, "eps_prime must be positive, got nan"),
+    (1.0, 0.0, "eps_prime must be positive, got 0.0"),
+])
+def test_select_degree_refuses_unsized_inputs(B, eps_prime, message):
+    with pytest.raises(ValueError, match=message):
+        select_degree(B, eps_prime, 4)
+
+
+@pytest.mark.parametrize("B", [10.0, 26.7])
+def test_select_degree_overflow_names_the_bound(B):
+    # d = 1 never reaches the rank cap: t ** (g + 1) overflows from B = 10,
+    # exp(B**2) from B = 26.7
+    with pytest.raises(ValueError, match=f"B={B:g}: .* overflows float64; reduce B"):
+        select_degree(B, 1e-6, 1)
+
+
 def test_feature_map_degree_zero():
     cfg = PolyConfig(B=0.0, eps_prime=1.0, g=0, d=3, m_feat=1)
     assert feature_map(np.array([5.0, -2.0, 0.5]), cfg).tolist() == [1.0]
